@@ -5,8 +5,12 @@
 ///
 ///   slowdown_factor — OOC (factor+solve) wall over in-RAM wall,
 ///   slowdown_solve  — the solve sweep alone (the serving-path number),
-///   hit_rate        — fraction of step-acquired blocks already resident
-///                     when the sweep needed them (the prefetcher's score),
+///   hit_rate        — fraction of step-acquired blocks the planner got to
+///                     before the sweep needed them: resident, read in
+///                     flight, or scheduled (the prefetcher's score),
+///   arrived_in_time — fraction of step-acquired blocks already resident
+///                     when their step was acquired; the rest stalled the
+///                     sweep (informational),
 ///   peak_over_budget — serve-phase peak resident factor bytes relative to
 ///                     budget + one block (must be <= 1 by design).
 ///
@@ -95,6 +99,9 @@ int main(int argc, char** argv) {
   const double hit_rate =
       steps > 0 ? static_cast<double>(ss.step_hits) / static_cast<double>(steps)
                 : 1.0;
+  const double arrived_in_time =
+      steps > 0 ? static_cast<double>(ss.step_ready) / static_cast<double>(steps)
+                : 1.0;
   const double slowdown_factor =
       ram_factor_s > 0 ? ooc_factor_s / ram_factor_s : 0.0;
   const double slowdown_solve =
@@ -104,24 +111,30 @@ int main(int argc, char** argv) {
       static_cast<double>(ss.budget_bytes + ss.max_block_bytes);
 
   Table t({"run", "factor (s)", "solve (s)", "resident factor (MiB)",
-           "spilled (MiB)", "hit rate"});
+           "spilled (MiB)", "hit rate", "arrived in time"});
   t.add_row({"in-RAM", Table::fmt(ram_factor_s, 2), Table::fmt(ram_solve_s, 3),
              Table::fmt(static_cast<double>(factor_bytes) / (1 << 20), 1), "-",
-             "-"});
+             "-", "-"});
   t.add_row({"OOC 0.25x", Table::fmt(ooc_factor_s, 2),
              Table::fmt(ooc_solve_s, 3),
              Table::fmt(static_cast<double>(ss.budget_bytes) / (1 << 20), 1),
              Table::fmt(static_cast<double>(ss.spilled_bytes) / (1 << 20), 1),
-             Table::fmt(hit_rate, 3)});
+             Table::fmt(hit_rate, 3), Table::fmt(arrived_in_time, 3)});
   char title[128];
   std::snprintf(title, sizeof(title),
                 "Out-of-core factor store, N=%d, tol=%.0e, budget=0.25x", n,
                 cfg.tol);
   emit(t, title, "ooc");
   std::printf("slowdown: factor %.2fx, solve %.2fx; prefetch hit rate %.3f; "
-              "peak/(budget+block) %.2f; bitwise %s\n",
-              slowdown_factor, slowdown_solve, hit_rate, peak_over_budget,
-              bitwise ? "IDENTICAL" : "DIVERGED");
+              "arrived in time %.3f; peak/(budget+block) %.2f; bitwise %s\n",
+              slowdown_factor, slowdown_solve, hit_rate, arrived_in_time,
+              peak_over_budget, bitwise ? "IDENTICAL" : "DIVERGED");
+  std::printf("step blocks: %llu ready, %llu waited in flight, %llu taken "
+              "over, %llu missed\n",
+              static_cast<unsigned long long>(ss.step_ready),
+              static_cast<unsigned long long>(ss.step_waited),
+              static_cast<unsigned long long>(ss.step_taken_over),
+              static_cast<unsigned long long>(ss.step_misses));
 
   std::ofstream js("BENCH_OOC.json");
   js << "{\n  \"bench\": \"ooc\",\n  \"n\": " << n
@@ -134,6 +147,8 @@ int main(int argc, char** argv) {
      << "    {\"key\": \"slowdown_solve\", \"value\": " << slowdown_solve
      << "},\n"
      << "    {\"key\": \"hit_rate\", \"value\": " << hit_rate << "},\n"
+     << "    {\"key\": \"arrived_in_time\", \"value\": " << arrived_in_time
+     << "},\n"
      << "    {\"key\": \"peak_over_budget\", \"value\": " << peak_over_budget
      << "},\n"
      << "    {\"key\": \"bitwise\", \"value\": " << (bitwise ? 1 : 0) << "}\n"

@@ -271,7 +271,7 @@ class UlvEngine {
   /// mirror + critical-path priorities) into solve_dag_. Called once by the
   /// constructor; O(#tasks + #edges), independent of nrhs.
   void build_solve_plan();
-  void solve_loops(MatrixView b) const;
+  void solve_loops(MatrixView b, bool wait_turn) const;
   void solve_via_dag(MatrixView b, ThreadPool& pool) const;
   // Forward-sweep bodies (Eqs. 16-19).
   void sbody_transform(SolveScratch& s, ConstMatrixView b, int level,
@@ -320,7 +320,7 @@ class UlvEngine {
     ~SolveGuard();
     const UlvEngine* u_;
   };
-  void solve_loops_spill(SolveScratch& s, MatrixView b) const;
+  void solve_loops_spill(SolveScratch& s, MatrixView b, bool wait_turn) const;
 
   /// Per-task body dispatch of the solve plan, fixed at recording time so
   /// per-solve instantiation is an array walk, not string comparisons.

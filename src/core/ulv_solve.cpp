@@ -235,13 +235,13 @@ bool UlvEngine<T>::solve_dag_mode() const {
 }
 
 template <class T>
-void UlvEngine<T>::solve_loops(MatrixView b) const {
+void UlvEngine<T>::solve_loops(MatrixView b, bool wait_turn) const {
   // Bulk-synchronous ablation: the per-level sweeps, one phase at a time —
   // exactly the bodies the DAG executes, in one fixed serial order.
   SolveScratch s;
   init_solve_scratch(s, b.cols());
   if (store_ != nullptr && n_spill_steps_ > 0) {
-    solve_loops_spill(s, b);
+    solve_loops_spill(s, b, wait_turn);
     return;
   }
   for (int level = depth_; level >= 1; --level) {
@@ -261,12 +261,13 @@ void UlvEngine<T>::solve_loops(MatrixView b) const {
 }
 
 template <class T>
-void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s, MatrixView b) const {
+void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s, MatrixView b,
+                                     bool wait_turn) const {
   // The level sweep walking the spill plan: the SAME bodies in the SAME
   // order, with a Pass advancing the pinned window one chunk at a time so
   // each phase only needs its current chunk of factor blocks resident.
   // sbody_merge and sbody_xsplit read no factor blocks and run unpinned.
-  SpillStore::Pass pass(*store_);
+  SpillStore::Pass pass(*store_, wait_turn);
   for (int level = depth_; level >= 1; --level) {
     const int nb = levels_[level].nb;
     for (const auto& ch : spill_plan_[level][0].chunks) {
@@ -535,12 +536,15 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
   // always knows the cursor. A store failure must not throw on a pool
   // worker — the barrier catches it, later tasks degrade to no-ops, and the
   // exception rethrows on this (the calling) thread after execution drains.
+  // The Pass waits for the store's sweep turn just before execution, so
+  // concurrent solves sweep the spilled factor one at a time. This thread is
+  // never a worker of `pool` (solve() runs such callers inline), so its wait
+  // cannot starve the sweep that holds the turn.
   const bool ooc = store_ != nullptr && n_spill_steps_ > 0;
   std::optional<SpillStore::Pass> pass;
   std::atomic<bool> aborted{false};
   std::exception_ptr spill_err;
   std::mutex spill_err_mu;
-  if (ooc) pass.emplace(*store_);
   for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
     const TaskMeta& m = solve_dag_.meta[t];
     const int level = m.level, id = m.owner;
@@ -586,7 +590,6 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
     g.set_priority(static_cast<TaskId>(t), solve_dag_.priority[t]);
   SpillStats ss0;
   if (ooc) {
-    ss0 = store_->stats();
     // Barriers outrank every real task: once a step's work is done, the
     // window must move before stragglers of the same priority band run.
     double bar_priority = 0.0;
@@ -618,11 +621,16 @@ void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
       if (st + 1 < n_spill_steps_) g.add_dependency(t, bar[st + 1]);
     }
   }
+  if (ooc) {
+    pass.emplace(*store_, /*wait_turn=*/true);
+    ss0 = store_->stats();
+  }
   ExecStats ex = g.execute(pool);
   if (ooc) {
-    pass.reset();  // release the last step before surfacing anything
-    if (spill_err) std::rethrow_exception(spill_err);
+    // Counters first: once the turn is released the next sweep moves them.
     const SpillStats ss1 = store_->stats();
+    pass.reset();  // release the last step and the turn before surfacing
+    if (spill_err) std::rethrow_exception(spill_err);
     ex.prefetch_hits = ss1.step_hits - ss0.step_hits;
     ex.prefetch_misses = ss1.step_misses - ss0.step_misses;
     ex.spill_fault_bytes = ss1.fault_bytes - ss0.fault_bytes;
@@ -669,7 +677,7 @@ void UlvEngine<T>::solve(MatrixView b) const {
     return;
   }
   if (!solve_dag_mode()) {
-    solve_loops(b);
+    solve_loops(b, /*wait_turn=*/true);
     return;
   }
   // Pool selection: the caller's pool; else the owned solve pool when the
@@ -695,8 +703,10 @@ void UlvEngine<T>::solve(MatrixView b) const {
     // A solve running ON a worker of its own pool (a pipelined solve_async
     // batch) cannot block on that pool; the sweep is bitwise identical, so
     // run it inline — whole solves then pipeline across the pool's workers
-    // instead of splitting one solve into tasks.
-    solve_loops(b);
+    // instead of splitting one solve into tasks. It must not wait for a
+    // spill sweep turn either: the DAG sweep holding the turn may need this
+    // very worker to finish.
+    solve_loops(b, /*wait_turn=*/false);
     return;
   }
   solve_via_dag(b, *pool);
@@ -712,9 +722,10 @@ void UlvEngine<T>::solve(MatrixView b) const {
   template bool UlvEngine<T>::solve_dag_mode() const;                          \
   template void UlvEngine<T>::build_solve_plan();                              \
   template void UlvEngine<T>::build_spill_plan();                              \
-  template void UlvEngine<T>::solve_loops(MatrixViewT<T> b) const;             \
+  template void UlvEngine<T>::solve_loops(MatrixViewT<T> b, bool wait_turn) const; \
   template void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s,               \
-                                                MatrixViewT<T> b) const;       \
+                                                MatrixViewT<T> b,              \
+                                                bool wait_turn) const;         \
   template void UlvEngine<T>::solve_via_dag(MatrixViewT<T> b,                  \
                                             ThreadPool& pool) const;           \
   template void UlvEngine<T>::sbody_transform(UlvEngine<T>::SolveScratch& s,                 \

@@ -61,9 +61,10 @@ struct ExecStats {
   std::uint64_t live_block_bytes = 0;
   /// Out-of-core traffic of this execution's window (solve sweeps on a
   /// spill-enabled factorization; all zero otherwise): step-acquired blocks
-  /// that were already resident when the sweep reached them vs. blocks the
-  /// sweep had to demand-read, and the payload bytes of those demand reads.
-  /// A healthy prefetcher keeps prefetch_misses near zero.
+  /// the prefetch planner got to first (SpillStats::step_hits — resident,
+  /// read in flight, or scheduled) vs. blocks the sweep had to demand-read
+  /// unscheduled, and the payload bytes the sweep read itself. A healthy
+  /// prefetcher keeps prefetch_misses near zero.
   std::uint64_t prefetch_hits = 0;
   std::uint64_t prefetch_misses = 0;
   std::uint64_t spill_fault_bytes = 0;

@@ -35,16 +35,36 @@ struct FileHeader {
 static_assert(sizeof(FileHeader) == 40, "FileHeader must be packed");
 
 constexpr char kMagic[8] = {'H', '2', 'S', 'P', 'I', 'L', 'L', '\0'};
-constexpr std::uint32_t kVersion = 1;
+constexpr std::uint32_t kVersion = 2;  // version 1 checksummed with FNV-1a
 
-std::uint64_t fnv1a(const void* data, std::size_t n) {
-  const auto* p = static_cast<const unsigned char*>(data);
-  std::uint64_t h = 1469598103934665603ull;
-  for (std::size_t i = 0; i < n; ++i) {
-    h ^= p[i];
-    h *= 1099511628211ull;
-  }
-  return h;
+constexpr std::uint64_t kP1 = 0x9E3779B185EBCA87ull;
+constexpr std::uint64_t kP2 = 0xC2B2AE3D27D4EB4Full;
+constexpr std::uint64_t kP3 = 0x165667B19E3779F9ull;
+constexpr std::uint64_t kP4 = 0x85EBCA77C2B2AE63ull;
+constexpr std::uint64_t kP5 = 0x27D4EB2F165667C5ull;
+
+inline std::uint64_t rotl(std::uint64_t x, int r) {
+  return (x << r) | (x >> (64 - r));
+}
+
+inline std::uint64_t load64(const unsigned char* p) {
+  std::uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline std::uint64_t load32(const unsigned char* p) {
+  std::uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
+
+inline std::uint64_t xxh_round(std::uint64_t acc, std::uint64_t lane) {
+  return rotl(acc + lane * kP2, 31) * kP1;
+}
+
+inline std::uint64_t xxh_merge(std::uint64_t h, std::uint64_t acc) {
+  return (h ^ xxh_round(0, acc)) * kP1 + kP4;
 }
 
 /// RAII fclose so every error path below closes the stream.
@@ -62,6 +82,46 @@ std::string make_store_dir(const std::string& parent) {
 }
 
 }  // namespace
+
+std::uint64_t xxh64(const void* data, std::size_t n, std::uint64_t seed) {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::size_t left = n;
+  std::uint64_t h;
+  if (left >= 32) {
+    // Four independent lanes: the multiply chains overlap, so a stripe costs
+    // about one multiply's latency instead of four.
+    std::uint64_t v1 = seed + kP1 + kP2, v2 = seed + kP2, v3 = seed,
+                  v4 = seed - kP1;
+    for (; left >= 32; left -= 32, p += 32) {
+      v1 = xxh_round(v1, load64(p));
+      v2 = xxh_round(v2, load64(p + 8));
+      v3 = xxh_round(v3, load64(p + 16));
+      v4 = xxh_round(v4, load64(p + 24));
+    }
+    h = rotl(v1, 1) + rotl(v2, 7) + rotl(v3, 12) + rotl(v4, 18);
+    h = xxh_merge(h, v1);
+    h = xxh_merge(h, v2);
+    h = xxh_merge(h, v3);
+    h = xxh_merge(h, v4);
+  } else {
+    h = seed + kP5;
+  }
+  h += static_cast<std::uint64_t>(n);
+  for (; left >= 8; left -= 8, p += 8)
+    h = rotl(h ^ xxh_round(0, load64(p)), 27) * kP1 + kP4;
+  if (left >= 4) {
+    h = rotl(h ^ (load32(p) * kP1), 23) * kP2 + kP3;
+    left -= 4;
+    p += 4;
+  }
+  for (; left > 0; --left, ++p) h = rotl(h ^ (*p * kP5), 11) * kP1;
+  h ^= h >> 33;
+  h *= kP2;
+  h ^= h >> 29;
+  h *= kP3;
+  h ^= h >> 32;
+  return h;
+}
 
 SpillStore::SpillStore(const Options& opt)
     : dir_(make_store_dir(opt.dir)), budget_(opt.budget_bytes) {
@@ -177,9 +237,10 @@ void SpillStore::seal(std::vector<std::vector<SlotId>> steps) {
   steps_ = std::move(steps);
   sealed_ = true;
   cursor_ = -1;
-  // Adoption is over: from here on the resident high-water mark measures the
-  // serve phase, where the budget (+ one required block) is enforceable.
+  // Adoption is over: from here on the high-water marks measure the serve
+  // phase, where the budget is enforceable (see SpillStats for the bound).
   st_.peak_resident_bytes = st_.resident_bytes;
+  st_.peak_pinned_bytes = pinned_bytes_;
   fetch_cv_.notify_all();
 }
 
@@ -259,65 +320,77 @@ bool SpillStore::evict_farthest_after(int step) {
   return true;
 }
 
-void SpillStore::dequeue_read(SlotId id) {
+void SpillStore::pin_slot(SlotId id) {
   Slot& s = slots_[id];
-  assert(s.read_queued);
-  s.read_queued = false;
-  reserved_read_bytes_ -= s.bytes;
-  const auto it = std::find(read_q_.begin(), read_q_.end(), id);
-  assert(it != read_q_.end());
-  read_q_.erase(it);
-  fetch_cv_.notify_all();  // the freed reservation may unblock the planner
+  if (s.pins++ == 0) {
+    pinned_bytes_ += s.bytes;
+    st_.peak_pinned_bytes = std::max(st_.peak_pinned_bytes, pinned_bytes_);
+  }
+  s.prefetched = false;
 }
 
-void SpillStore::ensure_resident(std::unique_lock<std::mutex>& lk, SlotId id,
-                                 bool count_step) {
-  bool counted = !count_step;
+void SpillStore::unpin_slot(SlotId id) {
+  Slot& s = slots_[id];
+  assert(s.pins > 0);
+  if (--s.pins > 0) return;
+  pinned_bytes_ -= s.bytes;
+  if (s.state == State::kClean) evict_q_.push_back(id);
+}
+
+void SpillStore::read_required(std::unique_lock<std::mutex>& lk, SlotId id) {
+  Slot& s = slots_[id];
+  assert(s.state == State::kSpilled);
+  if (s.read_queued) {
+    // The planner scheduled this read and no IO thread has started it: run
+    // it here instead of waiting its turn, keeping the planner's reservation
+    // until the bytes land.
+    s.read_queued = false;
+    const auto it = std::find(read_q_.begin(), read_q_.end(), id);
+    assert(it != read_q_.end());
+    read_q_.erase(it);
+  } else {
+    reserved_read_bytes_ += s.bytes;
+  }
+  // Make room for everything reserved, this read included: FIFO leftovers
+  // first (sparing read-ahead blocks), then residents farthest from their
+  // next use, then — a sweep without a turn leaves read-ahead behind the
+  // shared cursor that Belady's rule cannot rank — any unpinned resident.
+  const std::uint64_t target =
+      reserved_read_bytes_ > budget_ ? 0 : budget_ - reserved_read_bytes_;
+  evict_toward(target, /*sweep=*/false);
+  while (st_.resident_bytes > target && evict_farthest_after(cursor_)) {
+  }
+  evict_toward(target, /*sweep=*/true);
+  // Still over: every resident block is pinned. Read-ahead nobody has
+  // started yields its reservation, latest in plan order first; queued reads
+  // of pinned blocks stay, a sweep needs them now. Past this point the read
+  // overshoots only by bytes the sweeps hold pinned (see SpillStats).
+  for (auto it = read_q_.end();
+       st_.resident_bytes + reserved_read_bytes_ > budget_ &&
+       it != read_q_.begin();) {
+    Slot& q = slots_[*--it];
+    if (q.pins > 0) continue;
+    q.read_queued = false;
+    reserved_read_bytes_ -= q.bytes;
+    it = read_q_.erase(it);
+  }
+  read_slot(lk, id, /*required=*/true);
+}
+
+void SpillStore::ensure_resident(std::unique_lock<std::mutex>& lk, SlotId id) {
   while (true) {
     throw_if_failed();
-    Slot& s = slots_[id];
-    switch (s.state) {
+    switch (slots_[id].state) {
       case State::kQueued:
       case State::kWriting:
       case State::kClean:
-        if (!counted) st_.step_hits += 1;
         return;
       case State::kReading:
-        // A prefetch got here first; waiting out an in-flight read is a hit.
-        if (!counted) {
-          st_.step_hits += 1;
-          counted = true;
-        }
-        cv_.wait(lk);
+        cv_.wait(lk);  // another thread's read of this block is in flight
         break;
-      case State::kSpilled: {
-        if (s.read_queued) {
-          // The planner scheduled this read before the sweep asked for it;
-          // the sweep executes it in the worker's stead rather than wait its
-          // turn in the queue. Scheduled-ahead-of-demand counts as a hit.
-          if (!counted) {
-            st_.step_hits += 1;
-            counted = true;
-          }
-          dequeue_read(id);
-        } else if (!counted) {
-          st_.step_misses += 1;
-          counted = true;
-        }
-        // Make room gently first, leaving space for the reads already
-        // reserved in flight (their completions would otherwise stack on
-        // top of this admission past the one-block overshoot bound) —
-        // but only from the FIFO queue, which spares read-ahead blocks.
-        // If that is not enough, spend residents farthest from their next
-        // use; blocks of the current step are pinned and safe either way.
-        const std::uint64_t b = slots_[id].bytes;
-        const std::uint64_t soft = reserved_read_bytes_ + b;
-        evict_toward(soft > budget_ ? 0 : budget_ - soft, /*sweep=*/false);
-        while (st_.resident_bytes + b > budget_ && evict_farthest_after(cursor_)) {
-        }
-        read_slot(lk, id, /*required=*/true);
+      case State::kSpilled:
+        read_required(lk, id);
         return;
-      }
     }
   }
 }
@@ -329,37 +402,64 @@ void SpillStore::acquire_step(int step) {
   cursor_ = step;
   draining_ = false;
   fetch_cv_.notify_all();
-  // Pin the whole step before demand-reading the gaps, so a block this sweep
+  // Pin the whole step before reading any of it, so a block this sweep
   // already needs cannot be evicted to make room for a later one of the same
-  // step.
+  // step. What is resident now arrived in time; everything else stalls.
+  std::vector<SlotId> late;
   for (const SlotId id : steps_[step]) {
     if (id == kNoSlot) continue;
-    slots_[id].pins += 1;
-    slots_[id].prefetched = false;
+    pin_slot(id);
+    const Slot& s = slots_[id];
+    if (s.state == State::kSpilled || s.state == State::kReading) {
+      late.push_back(id);
+    } else {
+      st_.step_ready += 1;
+      st_.step_hits += 1;
+    }
   }
-  for (const SlotId id : steps_[step]) {
+  // Read every late block still on disk before waiting on any read in
+  // flight, starting from the step's far end: the IO threads pop the read
+  // queue from its front, which holds this step's near end, so the two
+  // meet in the middle instead of the sweep queueing behind them.
+  for (auto it = late.rbegin(); it != late.rend(); ++it) {
+    throw_if_failed();
+    const Slot& s = slots_[*it];
+    if (s.state != State::kSpilled) continue;  // an IO thread picked it up
+    if (s.read_queued) {
+      st_.step_taken_over += 1;
+      st_.step_hits += 1;
+    } else {
+      st_.step_misses += 1;
+    }
+    read_required(lk, *it);
+    *it = kNoSlot;  // counted
+  }
+  for (const SlotId id : late) {
     if (id == kNoSlot) continue;
-    ensure_resident(lk, id, /*count_step=*/true);
+    st_.step_waited += 1;
+    st_.step_hits += 1;
+    ensure_resident(lk, id);
   }
 }
 
 void SpillStore::release_step(int step) {
   std::lock_guard<std::mutex> lk(mu_);
   assert(sealed_ && step >= 0 && step < static_cast<int>(steps_.size()));
-  for (const SlotId id : steps_[step]) {
-    if (id == kNoSlot) continue;
-    Slot& s = slots_[id];
-    assert(s.pins > 0);
-    if (--s.pins == 0 && s.state == State::kClean) evict_q_.push_back(id);
-  }
+  for (const SlotId id : steps_[step])
+    if (id != kNoSlot) unpin_slot(id);
   evict_toward(budget_, /*sweep=*/false);
   schedule_reads();
   cv_.notify_all();
   fetch_cv_.notify_all();
 }
 
-SpillStore::Pass::Pass(SpillStore& store) : store_(&store) {
-  std::lock_guard<std::mutex> lk(store_->mu_);
+SpillStore::Pass::Pass(SpillStore& store, bool wait_turn)
+    : store_(&store), turn_(wait_turn) {
+  std::unique_lock<std::mutex> lk(store_->mu_);
+  if (turn_) {
+    const std::uint64_t ticket = store_->turns_issued_++;
+    store_->turn_cv_.wait(lk, [&] { return store_->turn_now_ == ticket; });
+  }
   store_->cursor_ = -1;
   store_->draining_ = false;
   store_->fetch_cv_.notify_all();
@@ -367,6 +467,10 @@ SpillStore::Pass::Pass(SpillStore& store) : store_(&store) {
 
 SpillStore::Pass::~Pass() {
   if (held_ >= 0) store_->release_step(held_);
+  if (!turn_) return;
+  std::lock_guard<std::mutex> lk(store_->mu_);
+  store_->turn_now_ += 1;
+  store_->turn_cv_.notify_all();
 }
 
 void SpillStore::Pass::advance(int step) {
@@ -381,20 +485,15 @@ void SpillStore::pin(const std::vector<SlotId>& ids) {
   throw_if_failed();
   for (const SlotId id : ids) {
     if (id == kNoSlot) continue;
-    slots_[id].pins += 1;
-    slots_[id].prefetched = false;
-    ensure_resident(lk, id, /*count_step=*/false);
+    pin_slot(id);
+    ensure_resident(lk, id);
   }
 }
 
 void SpillStore::unpin(const std::vector<SlotId>& ids) {
   std::lock_guard<std::mutex> lk(mu_);
-  for (const SlotId id : ids) {
-    if (id == kNoSlot) continue;
-    Slot& s = slots_[id];
-    assert(s.pins > 0);
-    if (--s.pins == 0 && s.state == State::kClean) evict_q_.push_back(id);
-  }
+  for (const SlotId id : ids)
+    if (id != kNoSlot) unpin_slot(id);
   evict_toward(budget_, /*sweep=*/false);
   cv_.notify_all();
   fetch_cv_.notify_all();
@@ -404,7 +503,7 @@ void SpillStore::fetch_all() {
   std::unique_lock<std::mutex> lk(mu_);
   draining_ = false;
   for (SlotId id = 0; id < static_cast<SlotId>(slots_.size()); ++id)
-    ensure_resident(lk, id, /*count_step=*/false);
+    ensure_resident(lk, id);
 }
 
 void SpillStore::drop_all() {
@@ -475,18 +574,16 @@ void SpillStore::writer_main() {
       write_slot(lk, id);
       continue;
     }
-    // No writes pending: execute a planner-scheduled prefetch read. The
-    // reservation the planner took is released once the read settles (the
-    // payload is then counted in resident_bytes instead).
+    // No writes pending: execute a planner-scheduled prefetch read under the
+    // reservation the planner took for it.
     const SlotId id = read_q_.front();
     read_q_.pop_front();
     Slot& s = slots_[id];
     s.read_queued = false;
-    const std::uint64_t b = s.bytes;
     if (s.state != State::kSpilled || draining_) {
       // A demand read got here first, or the pass is being drained; the
       // schedule entry is stale.
-      reserved_read_bytes_ -= b;
+      reserved_read_bytes_ -= s.bytes;
       fetch_cv_.notify_all();
       continue;
     }
@@ -495,8 +592,6 @@ void SpillStore::writer_main() {
     } catch (const std::exception&) {
       // Recorded by fail(); every store entry point rethrows it.
     }
-    reserved_read_bytes_ -= b;
-    fetch_cv_.notify_all();
   }
 }
 
@@ -528,7 +623,7 @@ void SpillStore::write_slot(std::unique_lock<std::mutex>& lk, SlotId id) {
     h.rows = rows;
     h.cols = cols;
     h.payload_bytes = bytes;
-    h.checksum = fnv1a(data, bytes);
+    h.checksum = xxh64(data, bytes);
     FileCloser fc{std::fopen(path.c_str(), "wb")};
     if (fc.f == nullptr) {
       err = std::string("cannot open for writing: ") + std::strerror(errno);
@@ -607,13 +702,15 @@ void SpillStore::read_slot(std::unique_lock<std::mutex>& lk, SlotId id,
       if (got != bytes) {
         err = "truncated spill file (expected " + std::to_string(bytes) +
               " payload bytes, got " + std::to_string(got) + ")";
-      } else if (fnv1a(dst, bytes) != h.checksum) {
+      } else if (xxh64(dst, bytes) != h.checksum) {
         err = "checksum mismatch (corrupt spill file)";
       }
     }
   }
 
   lk.lock();
+  reserved_read_bytes_ -= bytes;  // resident below, or never
+  fetch_cv_.notify_all();
   if (!err.empty()) {
     const std::string msg = "SpillStore: spill read failed for spill file " +
                             path + " (block " + name + ", " +
