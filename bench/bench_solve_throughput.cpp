@@ -5,13 +5,14 @@
 ///   1. single-RHS latency (nrhs=1, back to back),
 ///   2. blocked multi-RHS (one solve carrying many columns),
 ///   3. pipelined batches (independent solves running concurrently on a
-///      shared pool — the h2::Solver::solve_batch path),
+///      shared pool, each replaying the solve DAG inline on its worker —
+///      the h2::Solver::solve_batch path),
 ///
-/// each under BOTH solve executors (the bulk-synchronous PhaseLoops sweep
-/// vs the recorded-DAG TaskDag executor) and several worker counts. All
-/// cells produce bitwise-identical solutions; only the schedule differs.
+/// at 1 and 4 pool workers. Every solve replays the solve DAG recorded at
+/// factorization time; all cells produce bitwise-identical solutions, only
+/// the schedule differs. H2_SOLVE_REPS sets the solves per cell (16).
 /// Writes solve_throughput.csv and BENCH_SOLVE.json (the solve-side perf
-/// trajectory seed).
+/// trajectory).
 #include <cstdio>
 #include <fstream>
 #include <string>
@@ -25,8 +26,7 @@
 namespace {
 
 struct Cell {
-  std::string mode;       // "latency" / "blocked" / "pipelined"
-  std::string executor;   // "loop" / "dag"
+  std::string mode;  // "latency" / "blocked" / "pipelined"
   int workers;
   int n_solves;
   int nrhs_per_solve;
@@ -57,14 +57,12 @@ int main() {
   ho.max_rank = cfg.max_rank;
   const H2Matrix a(tree, kernel, ho);
 
-  // One factorization per solve executor; the factors themselves are
-  // bitwise identical (ulv_solve_dag_test), so every cell solves the same
-  // operator.
-  auto factor = [&](UlvExecutor solve_exec, ThreadPool* pool) {
+  // One factorization per worker count; the factors themselves are bitwise
+  // identical (ulv_dag_test), so every cell solves the same operator.
+  auto factor = [&](ThreadPool* pool) {
     UlvOptions uo;
     uo.tol = cfg.tol;
     uo.max_rank = cfg.max_rank;
-    uo.solve_executor = solve_exec;
     uo.pool = pool;
     return std::make_unique<UlvFactorization>(a, uo);
   };
@@ -75,63 +73,58 @@ int main() {
   std::vector<Cell> cells;
   Matrix x_ref, x_block_ref;  // bitwise cross-checks across every cell
   bool diverged = false;
-  for (const UlvExecutor sexec :
-       {UlvExecutor::PhaseLoops, UlvExecutor::TaskDag}) {
-    const char* ename = sexec == UlvExecutor::TaskDag ? "dag" : "loop";
-    for (const int workers : {1, 4}) {
-      ThreadPool pool(workers);
-      const auto f = factor(sexec, &pool);
+  for (const int workers : {1, 4}) {
+    ThreadPool pool(workers);
+    const auto f = factor(&pool);
 
-      // 1. Single-RHS latency, back to back.
-      {
-        Matrix x = b1;
-        Timer t;
-        for (int r = 0; r < reps; ++r) {
-          x = b1;
-          f->solve(x);
-        }
-        cells.push_back({"latency", ename, workers, reps, 1, t.seconds()});
-        if (x_ref.empty()) x_ref = x;
-        if (rel_error_fro(x, x_ref) != 0.0) {
-          std::printf("!! executor %s/%d diverged on nrhs=1\n", ename, workers);
-          diverged = true;
-        }
-      }
-      // 2. One blocked solve carrying `reps` columns.
-      {
-        Matrix x = b_block;
-        Timer t;
+    // 1. Single-RHS latency, back to back.
+    {
+      Matrix x = b1;
+      Timer t;
+      for (int r = 0; r < reps; ++r) {
+        x = b1;
         f->solve(x);
-        cells.push_back({"blocked", ename, workers, 1, reps, t.seconds()});
-        if (x_block_ref.empty()) x_block_ref = x;
-        if (rel_error_fro(x, x_block_ref) != 0.0) {
-          std::printf("!! blocked %s/%d diverged\n", ename, workers);
+      }
+      cells.push_back({"latency", workers, reps, 1, t.seconds()});
+      if (x_ref.empty()) x_ref = x;
+      if (rel_error_fro(x, x_ref) != 0.0) {
+        std::printf("!! latency/%d diverged on nrhs=1\n", workers);
+        diverged = true;
+      }
+    }
+    // 2. One blocked solve carrying `reps` columns.
+    {
+      Matrix x = b_block;
+      Timer t;
+      f->solve(x);
+      cells.push_back({"blocked", workers, 1, reps, t.seconds()});
+      if (x_block_ref.empty()) x_block_ref = x;
+      if (rel_error_fro(x, x_block_ref) != 0.0) {
+        std::printf("!! blocked/%d diverged\n", workers);
+        diverged = true;
+      }
+    }
+    // 3. Pipelined independent solves: whole solves run concurrently on the
+    //    pool's workers, each replaying the DAG inline (the
+    //    h2::Solver::solve_batch / solve_async path).
+    {
+      std::vector<Matrix> xs(reps, b1);
+      Timer t;
+      for (int r = 0; r < reps; ++r)
+        pool.submit([&f, &xs, r] { f->solve(xs[r]); });
+      pool.wait_idle();
+      cells.push_back({"pipelined", workers, reps, 1, t.seconds()});
+      for (const Matrix& x : xs)
+        if (rel_error_fro(x, x_ref) != 0.0) {
+          std::printf("!! pipelined/%d diverged\n", workers);
           diverged = true;
         }
-      }
-      // 3. Pipelined independent solves: whole solves run concurrently on
-      //    the pool's workers (each falls back to its inline sweep — the
-      //    h2::Solver::solve_batch / solve_async path).
-      {
-        std::vector<Matrix> xs(reps, b1);
-        Timer t;
-        for (int r = 0; r < reps; ++r)
-          pool.submit([&f, &xs, r] { f->solve(xs[r]); });
-        pool.wait_idle();
-        cells.push_back({"pipelined", ename, workers, reps, 1, t.seconds()});
-        for (const Matrix& x : xs)
-          if (rel_error_fro(x, x_ref) != 0.0) {
-            std::printf("!! pipelined %s/%d diverged\n", ename, workers);
-            diverged = true;
-          }
-      }
     }
   }
 
-  Table t({"mode", "solve executor", "workers", "solves", "nrhs/solve",
-           "total (s)", "RHS/s"});
+  Table t({"mode", "workers", "solves", "nrhs/solve", "total (s)", "RHS/s"});
   for (const Cell& c : cells)
-    t.add_row({c.mode, c.executor, std::to_string(c.workers),
+    t.add_row({c.mode, std::to_string(c.workers),
                std::to_string(c.n_solves), std::to_string(c.nrhs_per_solve),
                Table::fmt(c.seconds, 4), Table::fmt(c.rhs_per_s(), 1)});
   char title[128];
@@ -140,7 +133,8 @@ int main() {
                 cfg.tol, reps);
   emit(t, title, "solve_throughput");
 
-  // JSON trajectory seed: one self-contained record per cell.
+  // JSON trajectory: one self-contained record per cell. "executor" stays
+  // in the schema so cells compare with files that also held loop cells.
   std::ofstream js("BENCH_SOLVE.json");
   js << "{\n  \"bench\": \"solve_throughput\",\n  \"n\": " << n
      << ",\n  \"tol\": " << cfg.tol
@@ -148,8 +142,8 @@ int main() {
      << ",\n  \"cells\": [\n";
   for (std::size_t i = 0; i < cells.size(); ++i) {
     const Cell& c = cells[i];
-    js << "    {\"mode\": \"" << c.mode << "\", \"executor\": \"" << c.executor
-       << "\", \"workers\": " << c.workers << ", \"solves\": " << c.n_solves
+    js << "    {\"mode\": \"" << c.mode
+       << "\", \"executor\": \"dag\", \"workers\": " << c.workers << ", \"solves\": " << c.n_solves
        << ", \"nrhs_per_solve\": " << c.nrhs_per_solve
        << ", \"seconds\": " << c.seconds
        << ", \"rhs_per_s\": " << c.rhs_per_s() << "}"
@@ -158,7 +152,7 @@ int main() {
   js << "  ]\n}\n";
   std::printf("(JSON trajectory written to BENCH_SOLVE.json)\n");
   if (diverged) {
-    std::printf("FAILED: solve executors disagreed — see !! lines above\n");
+    std::printf("FAILED: solves disagreed bitwise — see !! lines above\n");
     return 1;
   }
   return 0;

@@ -41,10 +41,6 @@ UlvOptions SolverOptions::ulv_options() const {
   u.fill_tol_factor = fill_tol_factor;
   u.fillin_augmentation = fillin_augmentation;
   u.mode = mode;
-  u.executor = executor;
-  u.solve_executor = solve_executor;
-  u.schedule = schedule;
-  u.priority = priority;
   u.n_workers = n_workers;
   u.pool = pool;
   u.record_tasks = record_tasks;
@@ -124,8 +120,7 @@ Solver Solver::build(const PointCloud& points, const Kernel& kernel,
       // their own workers, so materializing one here would just park
       // threads for the Solver's lifetime.
       if (opt.pool == nullptr && opt.n_workers > 0) {
-        impl->owned_pool = std::make_unique<ThreadPool>(
-            opt.n_workers, opt.ulv_options().queue_policy());
+        impl->owned_pool = std::make_unique<ThreadPool>(opt.n_workers);
         opt.pool = impl->owned_pool.get();
       }
       H2BuildOptions ho;
@@ -262,10 +257,10 @@ SolveHandle Solver::solve_async(Matrix b) const {
         const std::uint64_t gen0 =
             impl->ulv ? impl->ulv->solve_stats_generation() : 0;
         Matrix x = s.solve(b);
-        // Snapshot the backend's trace only if a DAG solve actually
+        // Snapshot the backend's trace only if a pool-executed solve
         // completed since this one started — a solve that pipelined inline
-        // (the level sweep) must come back EMPTY, not carry a stale
-        // sibling's trace as its own. See SolveHandle::stats.
+        // must come back EMPTY, not carry a stale sibling's trace as its
+        // own. See SolveHandle::stats.
         SolveHandle::Outcome out{std::move(x), ExecStats{}};
         if (impl->ulv && impl->ulv->solve_stats_generation() != gen0)
           out.stats = impl->ulv->last_solve_stats();

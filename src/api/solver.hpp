@@ -54,6 +54,14 @@ enum class SolverStructure {
   HODLR,
 };
 
+/// Execution-policy tags of SolverOptions. Each has exactly one value: every
+/// recorded DAG runs through one executor (TaskGraph) on a work-stealing
+/// pool with critical-path priorities. They stay assignable so option code
+/// written against the earlier, selectable policies keeps compiling.
+enum class UlvExecutor { TaskDag };
+enum class UlvSchedule { WorkSteal };
+enum class UlvPriority { CriticalPath };
+
 /// Everything Solver::build needs, in one builder-style object: geometry
 /// partitioning, representation construction (H2BuildOptions), and
 /// factorization/solve execution (UlvOptions) — so callers configure one
@@ -89,14 +97,13 @@ struct SolverOptions {
   /// Parallel (the paper's dependency-free elimination) or the Sequential
   /// trailing-update baseline.
   UlvMode mode = UlvMode::Parallel;
-  /// Factorization executor: the task DAG (default) or bulk-synchronous
-  /// phase loops.
+  /// Fixed: the factorization runs its task DAG (Parallel mode).
   UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Solve executor: the recorded solve DAG (default) or the level sweep.
+  /// Fixed: every solve replays the recorded solve DAG.
   UlvExecutor solve_executor = UlvExecutor::TaskDag;
-  /// Ready-queue discipline of the executing pool (work stealing or FIFO).
+  /// Fixed: pools are work-stealing.
   UlvSchedule schedule = UlvSchedule::WorkSteal;
-  /// Ready-task ordering (critical-path priorities or submission order).
+  /// Fixed: ready tasks run by critical-path priority.
   UlvPriority priority = UlvPriority::CriticalPath;
   /// 0: the process-wide pool; > 0: build() materializes ONE private pool
   /// of that size (H2/HSS), shared by the factorization and every solve.
@@ -159,10 +166,6 @@ struct SolverOptions {
   SolverOptions& with_build_tol_factor(double v) { build_tol_factor = v; return *this; }  ///< chain-set build_tol_factor
   SolverOptions& with_max_rank(int v) { max_rank = v; return *this; }  ///< chain-set max_rank
   SolverOptions& with_mode(UlvMode v) { mode = v; return *this; }  ///< chain-set mode
-  SolverOptions& with_executor(UlvExecutor v) { executor = v; return *this; }  ///< chain-set executor
-  SolverOptions& with_solve_executor(UlvExecutor v) { solve_executor = v; return *this; }  ///< chain-set solve_executor
-  SolverOptions& with_schedule(UlvSchedule v) { schedule = v; return *this; }  ///< chain-set schedule
-  SolverOptions& with_priority(UlvPriority v) { priority = v; return *this; }  ///< chain-set priority
   SolverOptions& with_workers(int v) { n_workers = v; return *this; }  ///< chain-set n_workers
   SolverOptions& with_pool(ThreadPool* p) { pool = p; return *this; }  ///< chain-set pool
   SolverOptions& with_record_tasks(bool v) { record_tasks = v; return *this; }  ///< chain-set record_tasks
@@ -202,10 +205,10 @@ class SolveHandle {
   /// Block until the solve finishes (no-op once taken by get()).
   void wait() const;
   /// Snapshot of the ULV backend's DAG-solve ExecStats taken when this
-  /// solve completed, valid after get(). Empty when no NEW DAG trace was
-  /// produced during this solve: non-ULV structures, a PhaseLoops solve
-  /// executor, or a solve that pipelined inline on a pool worker
-  /// (whole-solve pipelining runs the level sweep, not the DAG) — a stale
+  /// solve completed, valid after get(). Empty when no NEW pool-executed
+  /// trace was produced during this solve: non-ULV structures, or a solve
+  /// that pipelined inline on a worker of its own pool (whole-solve
+  /// pipelining replays the DAG inline and records no trace) — a stale
   /// trace from an earlier solve is never presented as this one's.
   /// Diagnostic only: under CONCURRENT solves the snapshot may describe a
   /// sibling solve that finished in the same window.
@@ -266,11 +269,11 @@ class Solver {
   /// log|det A| from the backend's triangular factors.
   [[nodiscard]] double logabsdet() const;
 
-  /// ExecStats of the most recent DAG-executed solve on the ULV backend
+  /// ExecStats of the most recent pool-executed solve on the ULV backend
   /// (UlvFactorization::last_solve_stats): worker lanes, per-task spans,
   /// executed/stolen counters. Empty for BLR/HODLR backends, before any
-  /// solve, or when solves ran the PhaseLoops sweep. Set H2_SOLVE_TRACE to
-  /// a path to also dump each DAG solve's trace CSV.
+  /// solve, or when every solve replayed inline on a worker of its pool.
+  /// Set H2_SOLVE_TRACE to a path to also dump each such solve's trace CSV.
   [[nodiscard]] ExecStats last_solve_stats() const;
 
   /// Typed status of the most recent mixed-precision solve on this

@@ -48,7 +48,9 @@ UlvEngine<T>::UlvEngine(const H2Matrix& a, const UlvOptions& opt)
       structure_(a.structure()),
       opt_(opt),
       depth_(a.tree().depth()) {
-  opt_.validate();  // rejects nonsense, maps use_threads onto PhaseLoops
+  opt_.validate();
+  if (opt_.pool == nullptr && opt_.n_workers > 0)
+    own_pool_ = std::make_unique<ThreadPool>(opt_.n_workers);
   // Out-of-core tier: the store must exist before factorize() so factor
   // blocks can spill at their release points instead of stacking up.
   if (!opt_.spill_dir.empty())
@@ -60,7 +62,7 @@ UlvEngine<T>::UlvEngine(const H2Matrix& a, const UlvOptions& opt)
   stats_.factor_seconds = total.seconds();
   for (const auto& level_ranks : stats_.ranks)
     for (const int r : level_ranks) stats_.max_rank = std::max(stats_.max_rank, r);
-  if (solve_dag_mode()) build_solve_plan();
+  if (depth_ > 0) build_solve_plan();
   if (store_ != nullptr) {
     spill_finish_registration();
     build_spill_plan();  // seals the store; rethrows any recorded IO error
@@ -217,16 +219,13 @@ void UlvEngine<T>::spill_finish_registration() {
 }
 
 template <class T>
-UlvEngine<T>::SolveGuard::SolveGuard(const UlvEngine<T>& u)
-    : u_(u.store_ != nullptr ? &u : nullptr) {
-  if (u_ == nullptr) return;
+UlvEngine<T>::SolveGuard::SolveGuard(const UlvEngine<T>& u) : u_(&u) {
   std::lock_guard<std::mutex> lk(u_->solve_gate_mu_);
   ++u_->active_solves_;
 }
 
 template <class T>
 UlvEngine<T>::SolveGuard::~SolveGuard() {
-  if (u_ == nullptr) return;
   std::lock_guard<std::mutex> lk(u_->solve_gate_mu_);
   --u_->active_solves_;
   u_->solve_gate_cv_.notify_all();
@@ -241,7 +240,9 @@ template <class T>
 bool UlvEngine<T>::demote_to_disk(const std::string& dir) {
   // Hold the solve gate across the whole demotion: in-flight solves drain
   // first (their pins would keep blocks resident anyway), and solves
-  // arriving meanwhile block in their SolveGuard until the factor is cold.
+  // arriving meanwhile block in their SolveGuard until the factor is cold —
+  // so a first demotion may create the store and add the spill-step
+  // barriers to the solve graph that no solve is replaying.
   std::unique_lock<std::mutex> lk(solve_gate_mu_);
   solve_gate_cv_.wait(lk, [&] { return active_solves_ == 0; });
   if (store_ == nullptr) {
@@ -280,23 +281,6 @@ void UlvEngine<T>::add_dropped(double fro2) {
   if (fro2 <= 0.0) return;
   std::lock_guard<std::mutex> lk(stats_mutex_);
   stats_.dropped_mass += fro2;  // accumulated squared; sqrt at the end
-}
-
-template <class T>
-void UlvEngine<T>::for_indices(int n,
-                                   const std::function<void(int)>& fn) const {
-  if (loops_pool_ != nullptr) {
-    parallel_for(0, n, fn, loops_pool_);
-  } else {
-    for (int i = 0; i < n; ++i) fn(i);
-  }
-}
-
-template <class T>
-bool UlvEngine<T>::task_dag_mode() const {
-  // use_threads was already normalized onto PhaseLoops by validate().
-  return opt_.mode == UlvMode::Parallel &&
-         opt_.executor == UlvExecutor::TaskDag;
 }
 
 template <class T>
@@ -358,9 +342,11 @@ void UlvEngine<T>::prepare(Workspace& w) {
 }
 
 // ---------------------------------------------------------------------------
-// Phase bodies — one (phase, cluster) unit of work each. Both executors call
-// exactly these, in the same per-body operation order, which is what makes
-// the results bitwise identical across executors and worker counts.
+// Phase bodies — one (phase, cluster) unit of work each. Every execution of
+// the DAG calls exactly these, in the same per-body operation order, which
+// is what makes the results bitwise identical across worker counts and
+// inline replay; the Sequential level loop runs them around its own
+// elimination.
 // ---------------------------------------------------------------------------
 
 // assemble and ry are deliberately absent from the flat UlvTaskRecord log:
@@ -516,7 +502,7 @@ template <class T>
 void UlvEngine<T>::body_project_row(Workspace& w, int level, int i) {
   // Eqs. 8-9: project row i's blocks onto the bases, then (release_blocks)
   // free the row's inputs — the projection is their last consumer (fill and
-  // basis of this row are ordered before it in both executors).
+  // basis of this row are ordered before it in both modes).
   const Timer t;
   Level& ld = levels_[level];
   // Dense blocks in two batched passes (Q_i^T A, then * Q_j): Q_i is the
@@ -778,7 +764,7 @@ void UlvEngine<T>::factorize(const H2Matrix& a) {
     record_task(0, "top", 0, t.seconds());
     return;
   }
-  if (task_dag_mode()) {
+  if (opt_.mode == UlvMode::Parallel) {
     factorize_dag(a);
   } else {
     factorize_loops(a);
@@ -786,37 +772,23 @@ void UlvEngine<T>::factorize(const H2Matrix& a) {
 }
 
 template <class T>
-void UlvEngine<T>::factorize_loops(const H2Matrix& a) {
-  // Resolve the phase-loop pool from the SAME options the TaskDag executor
-  // dispatches on — an explicit pool, then n_workers, then (only for the
-  // deprecated use_threads alias) the process-wide pool. The historical
-  // dispatch keyed on use_threads alone, so `executor = PhaseLoops` with
-  // n_workers > 0 or a supplied pool silently ran serial.
-  std::unique_ptr<ThreadPool> owned;
-  if (opt_.mode == UlvMode::Parallel) {
-    ThreadPool* pool = opt_.pool;
-    if (pool == nullptr && opt_.n_workers > 0) {
-      owned = std::make_unique<ThreadPool>(opt_.n_workers, opt_.queue_policy());
-      pool = owned.get();
-    } else if (pool == nullptr && opt_.use_threads) {
-      pool = &ThreadPool::global();
-    }
-    // parallel_for blocks its caller; draining into our own pool could
-    // deadlock it (same guard as factorize_dag).
-    if (pool != nullptr && pool != ThreadPool::current()) loops_pool_ = pool;
-  }
+ThreadPool& UlvEngine<T>::exec_pool() const {
+  if (opt_.pool != nullptr) return *opt_.pool;
+  return own_pool_ != nullptr ? *own_pool_ : ThreadPool::global();
+}
 
+template <class T>
+void UlvEngine<T>::factorize_loops(const H2Matrix& a) {
   blockmem::reset_peak();  // measurement window, like TaskGraph::execute
   Workspace w;
   w.a = &a;
   prepare(w);
   for (int l = 1; l <= depth_; ++l)
-    for_indices(tree_->n_clusters(l), [&](int i) { body_ry(w, l, i); });
-  for_indices(tree_->n_clusters(depth_),
-              [&](int i) { body_assemble(w, depth_, i); });
+    for (int i = 0; i < tree_->n_clusters(l); ++i) body_ry(w, l, i);
+  for (int i = 0; i < tree_->n_clusters(depth_); ++i)
+    body_assemble(w, depth_, i);
   for (int level = depth_; level >= 1; --level) process_level(w, level);
   body_top(w);
-  loops_pool_ = nullptr;
   stats_.peak_block_bytes = blockmem::peak();
   stats_.final_block_bytes = blockmem::live();
 }
@@ -827,67 +799,37 @@ void UlvEngine<T>::process_level(Workspace& w, int level) {
   const Timer setup_timer;
 
   // ---- Phase P0: admissible blocks of this level in current coordinates.
-  for_indices(nb, [&](int i) { body_project_lr(w, level, i); });
+  for (int i = 0; i < nb; ++i) body_project_lr(w, level, i);
 
   // ---- Phase B1 (Fig. 7): fill-in column spaces per pivot row.
   if (opt_.fillin_augmentation)
-    for_indices(nb, [&](int k) { body_fill(w, level, k); });
+    for (int k = 0; k < nb; ++k) body_fill(w, level, k);
 
   // ---- Phase B2 (Eqs. 27-28): shared basis per cluster.
-  for_indices(nb, [&](int i) { body_basis(w, level, i); });
+  for (int i = 0; i < nb; ++i) body_basis(w, level, i);
 
   // ry_[level]'s readers are the basis phases of levels >= level (deeper
   // levels ran first in the depth -> 1 sweep, this one just finished) and
   // fill_p[level]'s are this level's bases alone — both are dead here, the
-  // bulk-synchronous mirror of the DAG's release tasks.
+  // level-loop mirror of the DAG's release tasks.
   if (opt_.release_blocks) {
     for (int i = 0; i < nb; ++i) release_ry_row(level, i);
     for (Matrix& p : w.fill_p[level]) track_drop(p);
   }
 
   // ---- Phase P1 (Eqs. 8-9): project everything onto the bases.
-  for_indices(nb, [&](int i) { body_project_row(w, level, i); });
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    stats_.setup_seconds += setup_timer.seconds();
-  }
+  for (int i = 0; i < nb; ++i) body_project_row(w, level, i);
+  stats_.setup_seconds += setup_timer.seconds();
 
-  // ---- Phase E: eliminate the redundant variables.
-  if (opt_.mode == UlvMode::Parallel) {
-    eliminate_parallel(level);
-  } else {
-    eliminate_sequential(level);
-  }
+  // ---- Phase E: right-looking elimination with trailing updates.
+  eliminate_sequential(level);
 
   // ---- Phase M (Eq. 22): merge skeleton sub-blocks into the parent level.
-  const auto& parent_pairs = structure_.inadmissible_pairs(level - 1);
-  for_indices(static_cast<int>(parent_pairs.size()), [&](int p) {
-    body_merge(w, level, parent_pairs[p].first, parent_pairs[p].second);
-  });
+  for (const auto& [pi, pj] : structure_.inadmissible_pairs(level - 1))
+    body_merge(w, level, pi, pj);
 
   // The merges were the skeletons' last consumers; the level is complete.
   if (opt_.release_blocks) release_level_remnants(w, level);
-}
-
-template <class T>
-void UlvEngine<T>::eliminate_parallel(int level) {
-  const int nb = levels_[level].nb;
-  // E1: pivots, diagonal strips and row strips — one independent task per
-  // block row (the paper's "no trailing sub-matrix dependencies").
-  for_indices(nb, [&](int k) { body_eliminate(level, k); });
-  // E2: column strips (separated from E1 so no two tasks touch one block).
-  for_indices(nb, [&](int k) { body_col_solve(level, k); });
-  // E3: Schur products by target.
-  const auto& inadm = structure_.inadmissible_pairs(level);
-  const auto& adm = structure_.admissible_pairs(level);
-  for_indices(static_cast<int>(inadm.size()), [&](int p) {
-    body_schur(level, inadm[p].first, inadm[p].second, false);
-  });
-  for_indices(static_cast<int>(adm.size()), [&](int p) {
-    body_schur(level, adm[p].first, adm[p].second, true);
-  });
-  if (opt_.measure_dropped)
-    for (int k = 0; k < nb; ++k) body_dropped(level, k);
 }
 
 template <class T>
@@ -1244,54 +1186,24 @@ void UlvEngine<T>::factorize_dag(const H2Matrix& a) {
 
   // Bottom-level priorities: the same ranking the scheduling simulator
   // list-schedules by, now driving the real executor.
-  if (opt_.priority == UlvPriority::CriticalPath) {
-    g.set_critical_path_priorities();
-    // Releases preempt compute the moment they fire: a ready release is
-    // microseconds of pointer work that returns megabytes. Left at their
-    // structural rank (sinks: bottom level 1) they would queue behind a
-    // whole level's compute and hold blocks exactly as long as the
-    // no-release ablation does.
-    if (!releases.empty()) {
-      const double top_rank =
-          1.0 + *std::max_element(g.priorities().begin(), g.priorities().end());
-      for (const TaskId t : releases) g.set_priority(t, top_rank);
-    }
+  g.set_critical_path_priorities();
+  // Releases preempt compute the moment they fire: a ready release is
+  // microseconds of pointer work that returns megabytes. Left at their
+  // structural rank (sinks: bottom level 1) they would queue behind a whole
+  // level's compute and hold blocks exactly as long as the no-release
+  // ablation does.
+  if (!releases.empty()) {
+    const double top_rank =
+        1.0 + *std::max_element(g.priorities().begin(), g.priorities().end());
+    for (const TaskId t : releases) g.set_priority(t, top_rank);
   }
 
-  // Execute on the configured pool: the caller's, a private one of
-  // n_workers, or the process-wide pool — never one the graph spawns
-  // itself. An explicit pool brings its own queue policy; otherwise the
-  // pool must match opt_.schedule, so a Fifo ablation never silently runs
-  // on the work-stealing global pool (or vice versa). Refuse a pool this
-  // thread is already a worker of (e.g. a factorization submitted onto the
-  // global pool): execute() blocks its caller, so feeding the DAG to our
-  // own pool could deadlock it.
-  const ThreadPool::QueuePolicy want = opt_.queue_policy();
-  ThreadPool* pool = opt_.pool;
-  std::unique_ptr<ThreadPool> owned;
-  // global() is always WorkSteal, so test `want` directly rather than
-  // global().policy(): a Fifo ablation must not lazily instantiate (and
-  // keep, for the process lifetime) a hardware-wide pool it will never use.
-  if (pool == nullptr && opt_.n_workers <= 0 &&
-      want == ThreadPool::QueuePolicy::WorkSteal)
-    pool = &ThreadPool::global();
-  if (pool == nullptr || pool == ThreadPool::current()) {
-    // The deadlock fallback mirrors the refused pool: same size, same
-    // policy (an explicit pool's policy wins even here — a Fifo ablation
-    // must not silently turn into a work-stealing run).
-    const int fallback = pool != nullptr      ? pool->size()
-                         : opt_.n_workers > 0 ? opt_.n_workers
-                                              : ThreadPool::env_threads();
-    owned = std::make_unique<ThreadPool>(
-        std::max(1, fallback), pool != nullptr ? pool->policy() : want);
-    pool = owned.get();
-  }
-  ExecStats ex = g.execute(*pool);
+  ExecStats ex = g.execute(exec_pool());
 
   {
     // Setup time = wall clock during which basis-construction work was in
     // flight: the interval union of the setup-phase task spans. Same phase
-    // set as the loops executor's per-level setup windows (P0..P1, ry and
+    // set as the Sequential loop's per-level setup windows (P0..P1, ry and
     // assemble excluded there too); on one worker the union degenerates to
     // the same phase-duration sum, and on any worker count it stays within
     // the execution wall time, so factor_seconds >= setup_seconds holds.

@@ -1,6 +1,5 @@
 #pragma once
 
-#include <array>
 #include <atomic>
 #include <condition_variable>
 #include <cstdint>
@@ -44,15 +43,15 @@ namespace h2 {
 /// The final merged block is LU-factorized densely.
 ///
 /// The numerics of each phase live in per-cluster `body_*` methods — one
-/// source of truth consumed by two executors. Parallel mode defaults to
-/// UlvExecutor::TaskDag: the factorization is built as a dependency-counted
-/// TaskGraph (one task per phase x cluster; fill→basis→project→eliminate
-/// within a block row, project→schur→merge toward the parent, merge→fill
-/// across levels so level L-1 starts while level L drains) and executed on a
-/// ThreadPool. The bulk-synchronous phase loops remain as the PhaseLoops
-/// ablation and as the Sequential baseline's only flow. Both executors and
-/// any worker count produce bitwise-identical factors — per precision: the
-/// fp32 engine has exactly the same determinism contract as the fp64 one.
+/// source of truth. Parallel mode builds the factorization as a
+/// dependency-counted TaskGraph (one task per phase x cluster;
+/// fill→basis→project→eliminate within a block row, project→schur→merge
+/// toward the parent, merge→fill across levels so level L-1 starts while
+/// level L drains) and executes it on a ThreadPool; Sequential mode runs
+/// the serial level loop of the Sec. II.D baseline around the same bodies.
+/// Any worker count, and inline replay on a worker of the pool, produce
+/// bitwise-identical factors — per precision: the fp32 engine has exactly
+/// the same determinism contract as the fp64 one.
 ///
 /// The matrix must be symmetric (all built-in kernels are), which makes the
 /// shared row and column bases coincide; the factorization itself is a
@@ -86,13 +85,12 @@ class UlvEngine {
   /// In-place solve A x = b; b is n x nrhs in TREE ordering (the ordering of
   /// ClusterTree::points(), NOT the caller's original point order — use
   /// ClusterTree::to_tree_order/from_tree_order, or the h2::Solver facade
-  /// which handles the permutation). Under opt.solve_executor == TaskDag
-  /// (the default) the forward/backward sweeps execute as a task DAG whose
-  /// structure was recorded once at factorization time (see solve_dag());
-  /// PhaseLoops keeps the bulk-synchronous per-level sweep. Both executors,
-  /// any scheduling policy, and any worker count produce bitwise-identical
-  /// solutions. Thread-safe: concurrent solves on one factorization share
-  /// only read-only factor data.
+  /// which handles the permutation). The forward/backward sweeps replay the
+  /// solve TaskGraph built once at factorization time (see solve_dag()) on
+  /// the pool — inline when called from one of its workers; any worker
+  /// count produces bitwise-identical solutions. Throws
+  /// std::invalid_argument unless b has n rows. Thread-safe: concurrent
+  /// solves on one factorization share only read-only factor data.
   void solve(MatrixView b) const;
 
   /// log|det A| from the triangular factors (orthogonal transforms drop out).
@@ -106,28 +104,27 @@ class UlvEngine {
     return levels_[level].rank[lid];
   }
 
-  /// Execution statistics of the most recent DAG-executed solve on this
+  /// Execution statistics of the most recent pool-executed solve on this
   /// factorization (worker lanes, per-task spans, executed/stolen counters —
   /// the same ExecStats the factorization's own execution reports). Empty
-  /// until a solve ran under the TaskDag solve executor; solves that fall
-  /// back to the inline level sweep (PhaseLoops, or a solve submitted onto
-  /// its own pool's worker) do not touch it. Concurrent solves overwrite it
+  /// until such a solve ran; solves replayed inline (a solve started on a
+  /// worker of its own pool) do not touch it. Concurrent solves overwrite it
   /// last-writer-wins — it is a diagnostic surface, not a per-solve result;
   /// SolveHandle::stats() snapshots it at solve completion. When the
   /// H2_SOLVE_TRACE environment variable names a file, every DAG solve also
   /// rewrites it with the trace CSV (TaskGraph::write_trace_csv format).
   [[nodiscard]] ExecStats last_solve_stats() const;
 
-  /// Number of DAG-executed solves completed on this factorization — bumped
+  /// Number of pool-executed solves completed on this factorization — bumped
   /// exactly when last_solve_stats() changes. Snapshot it around a solve to
-  /// tell whether THAT solve produced a new trace (a solve that fell back
-  /// to the inline sweep does not): the facade's SolveHandle::stats uses
+  /// tell whether THAT solve produced a new trace (an inline replay does
+  /// not): the facade's SolveHandle::stats uses
   /// this to avoid presenting a stale sibling trace as its own.
   [[nodiscard]] std::uint64_t solve_stats_generation() const;
 
-  /// The solve DAG recorded at factorization time (empty unless Parallel
-  /// mode with the TaskDag solve executor and depth > 0 — Sequential mode
-  /// always sweeps, like its factorization). The first half is the
+  /// The solve DAG recorded at factorization time (empty only for a depth-0
+  /// tree, whose solve is one dense getrs), without the out-of-core tier's
+  /// spill-step barriers. The first half is the
   /// forward sweep's block-row structure (fwd_xform -> fwd_subst ->
   /// fwd_down -> fwd_merge per level, rooted at "top"); the second half is
   /// its mirror for the backward sweep — every forward task has a backward
@@ -174,7 +171,7 @@ class UlvEngine {
 
   /// Transient per-level block storage consumed by the phase bodies: the
   /// current-coordinate blocks entering each level plus the intermediates of
-  /// the basis pipeline. Defined in the .cpp; shared by both executors.
+  /// the basis pipeline. Defined in the .cpp; shared by both modes.
   struct Workspace;
 
   /// Copy an fp64 source block (the H2Matrix's data) into the engine's
@@ -192,15 +189,16 @@ class UlvEngine {
   /// phase bodies only ever assign through stable references (required for
   /// race-free concurrent execution; also what the loops did implicitly).
   void prepare(Workspace& w);
-  /// Bulk-synchronous executor: phase loops with a barrier after every phase
-  /// and level (UlvExecutor::PhaseLoops, and all of Sequential mode).
+  /// Sequential mode: the serial level loop, one phase at a time, with the
+  /// right-looking trailing-update elimination (Sec. II.D).
   void factorize_loops(const H2Matrix& a);
   void process_level(Workspace& w, int level);
-  /// Dependency-driven executor: emit one task per (phase, cluster), wire
-  /// the true data dependencies, and run the DAG on a ThreadPool
-  /// (UlvExecutor::TaskDag, Parallel mode only).
+  /// Parallel mode: emit one task per (phase, cluster), wire the true data
+  /// dependencies, and run the DAG on exec_pool().
   void factorize_dag(const H2Matrix& a);
-  [[nodiscard]] bool task_dag_mode() const;
+  /// The pool both DAGs execute on: opt_.pool, else the private pool of
+  /// opt_.n_workers, else the process-wide pool.
+  [[nodiscard]] ThreadPool& exec_pool() const;
 
   // Phase bodies (single source of truth for the numerics). All bodies are
   // row-owned: a body with owner i writes only row-i state, so within a
@@ -225,15 +223,11 @@ class UlvEngine {
   auto current_rows(int level, int lid, ConstMatrixViewT<double> x_full) const
       -> Matrix;
   void eliminate_block(int level, int k);
-  void eliminate_parallel(int level);
   void eliminate_sequential(int level);
   std::vector<int> schur_k_list(int level, int i, int j) const;
 
   void record_task(int level, const char* kind, int owner, double seconds);
   void add_dropped(double fro2);
-  /// Loop over [0, n): pool-parallel when factorize_loops resolved a pool
-  /// from the executor options (loops_pool_), serial otherwise.
-  void for_indices(int n, const std::function<void(int)>& fn) const;
 
   // ---- Block lifetime (docs/ARCHITECTURE.md "Block lifetime & memory").
   // Every block stored into factor or workspace state goes through these, so
@@ -250,9 +244,9 @@ class UlvEngine {
   /// through the BlockPool arena. The slot is left empty.
   void track_drop(Matrix& m);
 
-  // Per-resource releases, fired by the DAG's release tasks (TaskDag) or at
-  // the equivalent end-of-phase points (PhaseLoops). All gated on
-  // opt_.release_blocks by the callers.
+  // Per-resource releases, fired by the DAG's release tasks (Parallel mode)
+  // or at the equivalent end-of-phase points (Sequential mode). All gated
+  // on opt_.release_blocks by the callers.
   void release_ry_row(int level, int i);
   void release_skel_block(int level, int i, int j);
   /// Drop whatever the per-resource releases left in `level`'s containers
@@ -261,18 +255,15 @@ class UlvEngine {
   void release_level_remnants(Workspace& w, int level);
 
   // ---- Solve (ulv_solve.cpp). Like the factorization, the numerics live in
-  // per-cluster sbody_* methods — one source of truth consumed by the
-  // bulk-synchronous level sweep (solve_loops) and the task-DAG executor
-  // (solve_via_dag), which instantiates the recorded solve_dag_ plan.
+  // per-cluster sbody_* methods, which every solve dispatches by replaying
+  // solve_graph_.
   struct SolveScratch;
   void init_solve_scratch(SolveScratch& s, int nrhs) const;
-  [[nodiscard]] bool solve_dag_mode() const;
-  /// Record the solve's task structure (forward sweep + reversed backward
-  /// mirror + critical-path priorities) into solve_dag_. Called once by the
-  /// constructor; O(#tasks + #edges), independent of nrhs.
+  /// Build the solve's task structure (forward sweep + reversed backward
+  /// mirror + critical-path priorities) into solve_graph_ and record it as
+  /// solve_dag_. Called once by the constructor; O(#tasks + #edges),
+  /// independent of nrhs.
   void build_solve_plan();
-  void solve_loops(MatrixView b, bool wait_turn) const;
-  void solve_via_dag(MatrixView b, ThreadPool& pool) const;
   // Forward-sweep bodies (Eqs. 16-19).
   void sbody_transform(SolveScratch& s, ConstMatrixView b, int level,
                        int c) const;
@@ -303,27 +294,21 @@ class UlvEngine {
   /// levels when release_blocks is off). Called once, after factorize().
   void spill_finish_registration();
   /// Chunk the solve sweep into an ordered list of pin steps (per level and
-  /// phase, clusters grouped to ~budget/4 bytes of factor reads), assign
-  /// every recorded solve task its step, and seal the store with the
+  /// phase, clusters grouped to ~budget/4 bytes of factor reads), add one
+  /// barrier task per step to solve_graph_ (every solve task runs between
+  /// its step's barrier and the next), and seal the store with the
   /// step->slots plan — the prefetcher's oracle. Defined in ulv_solve.cpp.
   void build_spill_plan();
-  /// Step chunking of one (level, phase): step_of[cluster] -> global step,
-  /// plus the chunks in execution order as {step, first, last} ranges in
-  /// iteration space (descending phases iterate cluster nb-1-j).
-  struct SpillChunks {
-    std::vector<int> step_of;
-    std::vector<std::array<int, 3>> chunks;
-  };
-  /// RAII solve gate: demote_to_disk() drains these before evicting.
+  /// RAII solve gate: demote_to_disk() drains these before evicting and
+  /// re-planning the sweep.
   struct SolveGuard {
     explicit SolveGuard(const UlvEngine& u);
     ~SolveGuard();
     const UlvEngine* u_;
   };
-  void solve_loops_spill(SolveScratch& s, MatrixView b, bool wait_turn) const;
 
   /// Per-task body dispatch of the solve plan, fixed at recording time so
-  /// per-solve instantiation is an array walk, not string comparisons.
+  /// a solve dispatches by switch, not string comparisons.
   enum class SolveKind : std::uint8_t {
     kFwdXform,
     kFwdSubst,
@@ -340,10 +325,9 @@ class UlvEngine {
   BlockStructure structure_;  // copied: the H2Matrix may be discarded
   UlvOptions opt_;
   int depth_ = 0;
-  /// Pool the bulk-synchronous phase loops parallelize on, resolved by
-  /// factorize_loops from executor/pool/n_workers (null = serial). Only
-  /// non-null while factorize_loops runs.
-  ThreadPool* loops_pool_ = nullptr;
+  /// The private pool of opt_.n_workers (no explicit pool given), shared by
+  /// the factorization and every solve.
+  std::unique_ptr<ThreadPool> own_pool_;
   /// Total tracked block bytes owned by THIS factorization — what the
   /// destructor discharges from the process-wide blockmem counter.
   std::atomic<std::uint64_t> tracked_bytes_{0};
@@ -357,17 +341,14 @@ class UlvEngine {
   std::vector<std::map<Key, Matrix>> ry_;
   Matrix top_lu_;
   std::vector<int> top_piv_;
-  /// The solve's task structure, recorded once at factorization time and
-  /// instantiated per solve by solve_via_dag (see solve_dag()).
+  /// The solve's task graph, built once at factorization time and replayed
+  /// by every solve. Its first solve_dag_.n_tasks() tasks are the recorded
+  /// plan; build_spill_plan appends one barrier per spill step after them,
+  /// barrier s advancing the out-of-core Pass to step s (its owner field).
+  TaskGraph solve_graph_;
+  /// solve_graph_ as recorded before any spill-step barrier (solve_dag()).
   DagRecord solve_dag_;
   std::vector<SolveKind> solve_kind_;  ///< parallel to solve_dag_.meta
-  /// Owned pool for DAG solves when no explicit pool fits: n_workers > 0,
-  /// or a Fifo schedule (the global pool is always WorkSteal). Created
-  /// lazily on the FIRST solve (call_once: solves may race) and reused for
-  /// every later one — per-solve pools would pay thread spawn/join on each
-  /// right-hand side, and a factorize-only user should pay nothing.
-  mutable std::once_flag solve_pool_once_;
-  mutable std::unique_ptr<ThreadPool> solve_pool_;
 
   // ---- Out-of-core tier state. Declared after levels_/top_lu_ so the
   // store (whose threads may hold pointers into them) is destroyed first.
@@ -381,15 +362,6 @@ class UlvEngine {
   std::vector<std::vector<std::pair<SpillStore::SlotId, std::uint64_t>>>
       qslot_;
   SpillStore::SlotId topslot_ = SpillStore::kNoSlot;
-  /// spill_plan_[level][phase] for phases 0 fwd_xform / 1 fwd_subst /
-  /// 2 fwd_down (merges ride on it) / 3 bwd_y (descending) / 4 bwd_combine.
-  std::vector<std::array<SpillChunks, 5>> spill_plan_;
-  int top_step_ = -1;
-  int n_spill_steps_ = 0;
-  /// Step of every solve_dag_ task (parallel to solve_dag_.meta; empty under
-  /// the PhaseLoops solve executor) — solve_via_dag wires one barrier task
-  /// per step from it so a sweep never outruns the pinned window.
-  std::vector<int> task_step_;
   std::uint64_t promote_budget_ = 0;
   bool demoted_ = false;
   std::mutex spill_mu_;  ///< registration tables (release tasks may race)
@@ -398,9 +370,9 @@ class UlvEngine {
   mutable std::mutex solve_gate_mu_;
 
   UlvStats stats_;
-  /// Trace of the most recent DAG solve (see last_solve_stats()) and its
-  /// completion count; guarded by stats_mutex_ because concurrent solves
-  /// may finish at once.
+  /// Trace of the most recent pool-executed solve (see last_solve_stats())
+  /// and its completion count; guarded by stats_mutex_ because concurrent
+  /// solves may finish at once.
   mutable ExecStats last_solve_stats_;
   mutable std::uint64_t solve_stats_gen_ = 0;
   mutable std::mutex stats_mutex_;

@@ -28,56 +28,15 @@ enum class UlvMode {
   Sequential,
 };
 
-/// How the Parallel-mode factorization is executed. (Sequential mode is an
-/// inherently ordered ablation and always runs as plain loops.)
-enum class UlvExecutor {
-  /// Build the factorization as a dependency-counted TaskGraph — one task
-  /// per (phase, cluster) with fill→basis→project→eliminate edges inside a
-  /// block row, project→schur→merge edges toward the parent, and merge→fill
-  /// edges that let level L-1 start while level L drains — and execute it on
-  /// a ThreadPool. This is the runtime realization of the paper's "no
-  /// trailing sub-matrix dependencies" claim, and the default.
-  TaskDag,
-  /// Bulk-synchronous phase loops with a barrier after every phase and every
-  /// level (serial, or pool-parallel via the deprecated `use_threads`). Kept
-  /// as an ablation: same arithmetic, no inter-phase/inter-level overlap.
-  PhaseLoops,
-};
-
-/// Ready-queue discipline of the pool the TaskDag executor runs on.
-enum class UlvSchedule {
-  /// One shared queue (highest priority first, submission order on ties):
-  /// the pre-work-stealing behaviour, kept as the contention ablation — at
-  /// high worker counts every ready task crosses one lock.
-  Fifo,
-  /// Per-worker deques with randomized stealing (the default): LIFO-local
-  /// pops keep a block row's fill→basis→project chain on the worker whose
-  /// cache holds it; idle workers steal the oldest task from a random
-  /// victim, spreading breadth instead of leaves.
-  WorkSteal,
-};
-
 /// Element precision of the factorization's stored blocks and sweeps.
 /// F32 halves every factor block (storage, spill files, pool traffic) and
 /// runs the factorization and solve arithmetic in fp32; inputs are rounded
 /// once where the H2Matrix's fp64 data enters the engine, and accuracy is
 /// recovered by fp64 iterative refinement at the facade (see
 /// SolverOptions::precision / core/refine). Determinism contracts are
-/// per-precision: fp32 runs are bitwise identical across executors,
-/// schedules, and worker counts, exactly like fp64 runs.
+/// per-precision: fp32 runs are bitwise identical across worker counts and
+/// inline replay, exactly like fp64 runs.
 enum class Precision : std::uint8_t { F64, F32 };
-
-/// Ready-task ordering of the TaskDag executor.
-enum class UlvPriority {
-  /// Submission order only.
-  None,
-  /// Bottom-level (critical-path) priorities on the real DAG (the default),
-  /// computed by the same bottom_levels() the scheduling simulator ranks
-  /// by: tasks on the cross-level schur→merge→fill spine run before
-  /// same-level stragglers, so a level's drain no longer tails behind
-  /// width-1 readiness.
-  CriticalPath,
-};
 
 struct UlvOptions {
   /// Relative truncation tolerance of the shared-basis QR (and the skeleton
@@ -98,42 +57,22 @@ struct UlvOptions {
   /// mixed-precision factorization backend: blocks, spills, and solve sweeps
   /// in fp32 at half the bytes; pair with refinement for fp64 accuracy.
   Precision precision = Precision::F64;
-  /// Execution policy for Parallel mode (see UlvExecutor). Results are
-  /// bitwise identical across executors and worker counts: every task
-  /// performs the same block operations in the same order.
-  UlvExecutor executor = UlvExecutor::TaskDag;
-  /// Execution policy of the SOLVE sweeps (Parallel mode): TaskDag (the
-  /// default) replays the solve DAG recorded at factorization time — the
-  /// forward sweep's block-row structure, reversed for the backward pass —
-  /// on the pool; PhaseLoops keeps the bulk-synchronous per-level sweep as
-  /// the ablation. Like the factorization, the two solve executors are
-  /// bitwise identical at any worker count and scheduling policy.
-  UlvExecutor solve_executor = UlvExecutor::TaskDag;
-  /// Ready-queue discipline for the TaskDag pool. Applies to the pool the
-  /// factorization creates (n_workers > 0, or a policy-mismatched global
-  /// pool); an explicit `pool` brings its own policy, which wins. Scheduling
-  /// never changes results — only when each task runs.
-  UlvSchedule schedule = UlvSchedule::WorkSteal;
-  /// Ready-task ordering for the TaskDag executor (see UlvPriority).
-  UlvPriority priority = UlvPriority::CriticalPath;
-  /// TaskDag worker count when no `pool` is given: a positive value spawns
-  /// a private pool of that size for this factorization; 0 uses the global
+  /// Worker count of the pool the factorization and solve DAGs execute on
+  /// when no `pool` is given: a positive value spawns a private pool of
+  /// that size, kept for the factorization's lifetime; 0 uses the global
   /// pool. Ignored when `pool` is set — an explicit pool always wins. Use
   /// n_workers = 1 when recording task durations for the scheduling
-  /// simulator: replayed timings should be contention-free.
+  /// simulator: replayed timings should be contention-free. Results are
+  /// bitwise identical at any worker count.
   int n_workers = 0;
-  /// Pool for the TaskDag executor and pool-parallel phase loops
-  /// (nullptr: by n_workers / the global pool).
+  /// Pool the DAGs execute on (nullptr: by n_workers / the global pool).
+  /// A factorization or solve started on one of its own workers runs its
+  /// DAG inline on that thread (TaskGraph::execute).
   ThreadPool* pool = nullptr;
-  /// Deprecated alias (pre-Executor API): `true` selects pool-parallel
-  /// bulk-synchronous phase loops. validate() maps it explicitly onto
-  /// `executor = solve_executor = PhaseLoops` (no silent behavior left in
-  /// the executor dispatch). Prefer `executor`/`n_workers`.
-  bool use_threads = false;
   /// Free every workspace block the moment its last consumer retires — as
   /// reference-counted release tasks wired into the factorization DAG
-  /// (TaskDag), or as end-of-phase frees at the equivalent points of the
-  /// bulk-synchronous sweep (PhaseLoops) — with freed storage recycled
+  /// (Parallel mode), or as end-of-phase frees at the equivalent points of
+  /// the Sequential level loop — with freed storage recycled
   /// through the BlockPool arena. This is what keeps peak factorization
   /// memory at O(a few active levels) instead of O(whole tree). `false`
   /// retains every block until the factorization ends: the retain-everything
@@ -145,9 +84,9 @@ struct UlvOptions {
   /// contain the fill-ins. Costs extra GEMMs; enable in tests/ablations.
   bool measure_dropped = false;
   /// Record a per-task timing log (level, kind, owner cluster, seconds) used
-  /// by the distributed-memory scheduling simulator. Under the TaskDag
-  /// executor this additionally keeps the executed DAG (UlvStats::dag) and
-  /// its execution trace (UlvStats::exec).
+  /// by the distributed-memory scheduling simulator. In Parallel mode this
+  /// additionally keeps the executed DAG (UlvStats::dag) and its execution
+  /// trace (UlvStats::exec).
   bool record_tasks = false;
   /// Existing writable directory for the out-of-core factor store
   /// (src/storage). Empty (the default) keeps every factor block resident.
@@ -155,8 +94,8 @@ struct UlvOptions {
   /// background writers persist it, eviction keeps resident factor bytes at
   /// or under spill_budget_bytes, and a prefetcher reads blocks back ahead
   /// of each solve sweep's cursor. Spilling moves bytes, never transforms
-  /// them — results stay bitwise identical to the in-RAM run across both
-  /// executors and worker counts. Env default: H2_SPILL_DIR.
+  /// them — results stay bitwise identical to the in-RAM run at any worker
+  /// count. Env default: H2_SPILL_DIR.
   std::string spill_dir;
   /// Resident budget (bytes) for spilled factor blocks; only meaningful with
   /// spill_dir set. 0 keeps nothing resident between sweeps (pure disk
@@ -179,21 +118,10 @@ struct UlvOptions {
   /// solve has no batch to be consistent with.
   bool width_stable_solve = false;
 
-  /// The ThreadPool queue discipline `schedule` maps onto — the ONE place
-  /// the mapping lives (executors and the api facade all size/spawn pools
-  /// through it).
-  [[nodiscard]] ThreadPool::QueuePolicy queue_policy() const {
-    return schedule == UlvSchedule::Fifo ? ThreadPool::QueuePolicy::Fifo
-                                         : ThreadPool::QueuePolicy::WorkSteal;
-  }
-
-  /// Normalize and check the options; UlvFactorization runs this on its copy
-  /// before factorizing. Maps the deprecated `use_threads` alias onto
-  /// `executor = solve_executor = PhaseLoops` (its documented meaning — the
-  /// executor dispatch itself no longer special-cases the flag) and rejects
-  /// nonsensical inputs with std::invalid_argument instead of letting them
-  /// produce undefined behavior downstream.
-  void validate() {
+  /// Check the options; UlvFactorization runs this before factorizing.
+  /// Rejects nonsensical inputs with std::invalid_argument instead of
+  /// letting them produce undefined behavior downstream.
+  void validate() const {
     if (!(tol > 0.0))
       throw std::invalid_argument(
           "UlvOptions: tol must be > 0 (got " + std::to_string(tol) +
@@ -223,10 +151,6 @@ struct UlvOptions {
             std::to_string(spill_threads) +
             "); someone has to write the spill files (H2_SPILL_THREADS)");
     }
-    if (use_threads) {
-      executor = UlvExecutor::PhaseLoops;
-      solve_executor = UlvExecutor::PhaseLoops;
-    }
   }
 };
 
@@ -249,7 +173,7 @@ struct UlvStats {
   double setup_seconds = 0.0;  ///< fills + bases + projections
   std::uint64_t factor_flops = 0;
   /// High-water mark of tracked block bytes during the factorization
-  /// (blockmem window over the executor's span — both executors fill it),
+  /// (blockmem window over the executor's span — both modes fill it),
   /// and the bytes still live when it finished (the persistent factor:
   /// projected dense blocks, bases, pivots — what solve() needs). With
   /// release_blocks the peak stays near the final footprint; without it the
@@ -263,12 +187,13 @@ struct UlvStats {
   std::uint64_t spilled_blocks = 0;
   std::uint64_t spilled_bytes = 0;
   std::uint64_t spill_budget_bytes = 0;
-  /// Flat per-task timing log (only when record_tasks). Under TaskDag the
-  /// same tasks also appear in `exec` with wall-clock spans and in `dag`
+  /// Flat per-task timing log (only when record_tasks). In Parallel mode
+  /// the same tasks also appear in `exec` with wall-clock spans and in `dag`
   /// with their true edge structure — the flat list stays for consumers
-  /// that only need (level, kind, owner, seconds) aggregates.
+  /// that only need (level, kind, owner, seconds) aggregates, and is the
+  /// only log of the Sequential level loop.
   std::vector<UlvTaskRecord> tasks;
-  /// The executed factorization DAG (TaskDag executor + record_tasks): the
+  /// The executed factorization DAG (Parallel mode + record_tasks): the
   /// one structure shared by the real execution, the Fig. 13 trace, and the
   /// src/dist scheduling simulator.
   DagRecord dag;

@@ -1,10 +1,12 @@
 #include <algorithm>
+#include <array>
 #include <atomic>
-#include <cassert>
+#include <exception>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <optional>
+#include <stdexcept>
+#include <string>
 #include <utility>
 
 #include "core/ulv_factorization.hpp"
@@ -17,10 +19,9 @@ namespace h2 {
 
 /// Per-solve working state: the right-hand side as it migrates through the
 /// levels (Eqs. 16-19). One instance per solve call, so concurrent solves on
-/// one factorization never share mutable state. Unlike the old rolling
-/// per-level buffer, the migrating vectors are stored PER LEVEL so the DAG
-/// executor can overlap levels without write-after-read hazards; the level
-/// sweep fills them in the same order the rolling buffer did.
+/// one factorization never share mutable state. The migrating vectors are
+/// stored PER LEVEL so the DAG can overlap levels without write-after-read
+/// hazards.
 template <class T>
 struct UlvEngine<T>::SolveScratch {
   int nrhs = 1;
@@ -63,11 +64,11 @@ void UlvEngine<T>::init_solve_scratch(UlvEngine<T>::SolveScratch& s, int nrhs) c
 }
 
 // ---------------------------------------------------------------------------
-// Solve bodies — one (phase, cluster) unit each, shared by both executors.
-// Every migrating block has a single totally-ordered writer chain
-// (transform -> subst -> y for z, transform -> down for s, ...), so any
-// executor that respects the recorded edges reproduces the level sweep
-// bitwise.
+// Solve bodies — one (phase, cluster) unit each. Every migrating block has
+// a single totally-ordered writer chain (transform -> subst -> y for z,
+// transform -> down for s, ...), so every execution that respects the
+// recorded edges — any worker count, or the serial inline order — produces
+// the same bits.
 //
 // Every body doing arithmetic opens a WidthStableScope gated on
 // opt_.width_stable_solve, making its gemm dispatch independent of nrhs
@@ -226,83 +227,6 @@ void UlvEngine<T>::sbody_combine(UlvEngine<T>::SolveScratch& s, MatrixView b, in
 // ---------------------------------------------------------------------------
 
 template <class T>
-bool UlvEngine<T>::solve_dag_mode() const {
-  // Sequential mode is the inherently ordered ablation: its solve stays a
-  // plain sweep, like its factorization. use_threads was normalized onto
-  // PhaseLoops by UlvOptions::validate().
-  return opt_.mode == UlvMode::Parallel &&
-         opt_.solve_executor == UlvExecutor::TaskDag && depth_ > 0;
-}
-
-template <class T>
-void UlvEngine<T>::solve_loops(MatrixView b, bool wait_turn) const {
-  // Bulk-synchronous ablation: the per-level sweeps, one phase at a time —
-  // exactly the bodies the DAG executes, in one fixed serial order.
-  SolveScratch s;
-  init_solve_scratch(s, b.cols());
-  if (store_ != nullptr && n_spill_steps_ > 0) {
-    solve_loops_spill(s, b, wait_turn);
-    return;
-  }
-  for (int level = depth_; level >= 1; --level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_transform(s, b, level, c);
-    for (int k = 0; k < nb; ++k) sbody_subst(s, level, k);
-    for (int i = 0; i < nb; ++i) sbody_down(s, level, i);
-    for (int p = 0; p < nb / 2; ++p) sbody_merge(s, level, p);
-  }
-  sbody_top(s);
-  for (int level = 1; level <= depth_; ++level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_xsplit(s, level, c);
-    for (int k = nb - 1; k >= 0; --k) sbody_y(s, level, k);
-    for (int c = 0; c < nb; ++c) sbody_combine(s, b, level, c);
-  }
-}
-
-template <class T>
-void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s, MatrixView b,
-                                     bool wait_turn) const {
-  // The level sweep walking the spill plan: the SAME bodies in the SAME
-  // order, with a Pass advancing the pinned window one chunk at a time so
-  // each phase only needs its current chunk of factor blocks resident.
-  // sbody_merge and sbody_xsplit read no factor blocks and run unpinned.
-  SpillStore::Pass pass(*store_, wait_turn);
-  for (int level = depth_; level >= 1; --level) {
-    const int nb = levels_[level].nb;
-    for (const auto& ch : spill_plan_[level][0].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_transform(s, b, level, j);
-    }
-    for (const auto& ch : spill_plan_[level][1].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_subst(s, level, j);
-    }
-    for (const auto& ch : spill_plan_[level][2].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_down(s, level, j);
-    }
-    for (int p = 0; p < nb / 2; ++p) sbody_merge(s, level, p);
-  }
-  pass.advance(top_step_);
-  sbody_top(s);
-  for (int level = 1; level <= depth_; ++level) {
-    const int nb = levels_[level].nb;
-    for (int c = 0; c < nb; ++c) sbody_xsplit(s, level, c);
-    // bwd_y's substitution chain runs k = nb-1 .. 0; its chunks were laid
-    // out in that (descending) iteration order.
-    for (const auto& ch : spill_plan_[level][3].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_y(s, level, nb - 1 - j);
-    }
-    for (const auto& ch : spill_plan_[level][4].chunks) {
-      pass.advance(ch[0]);
-      for (int j = ch[1]; j < ch[2]; ++j) sbody_combine(s, b, level, j);
-    }
-  }
-}
-
-template <class T>
 void UlvEngine<T>::build_spill_plan() {
   // Chunk the solve sweep into pin steps. Per level the forward phases
   // (xform, subst, down) and backward phases (y descending, combine) each
@@ -312,24 +236,23 @@ void UlvEngine<T>::build_spill_plan() {
   // reads are row-local ({row,*} dense keys plus the row's basis), so a
   // chunk's slot list is exact, and the phase orders match the recorded
   // solve edges (subst ascends, y descends), so the per-step barrier tasks
-  // solve_via_dag adds can never create a cycle.
+  // added below can never create a cycle.
   std::vector<std::vector<SpillStore::SlotId>> steps;
   if (depth_ == 0) {
-    n_spill_steps_ = 0;
     store_->seal(std::move(steps));
     return;
   }
   const std::uint64_t target =
       std::max<std::uint64_t>(store_->stats().budget_bytes / 4, 1);
-  spill_plan_.assign(depth_ + 1, {});
-  auto add_step = [&steps](std::vector<SpillStore::SlotId>&& ids) {
-    steps.push_back(std::move(ids));
-    return static_cast<int>(steps.size()) - 1;
-  };
-  // append_cluster(c, ids) appends cluster c's slots, returning their bytes.
+  // step_of[phase][level][cluster] for phases 0 fwd_xform / 1 fwd_subst /
+  // 2 fwd_down (merges ride on it) / 3 bwd_y (descending) / 4 bwd_combine.
+  std::array<std::vector<std::vector<int>>, 5> step_of;
+  for (auto& phase : step_of) phase.resize(depth_ + 1);
+  // Chunks clusters in iteration order (descending phases iterate cluster
+  // nb-1-j); append_cluster(c, ids) appends cluster c's slots and returns
+  // their bytes.
   auto chunked = [&](int nb, bool desc, auto&& append_cluster) {
-    SpillChunks P;
-    P.step_of.assign(nb, -1);
+    std::vector<int> of(nb, -1);
     int i = 0;
     while (i < nb) {
       std::vector<SpillStore::SlotId> ids;
@@ -339,11 +262,11 @@ void UlvEngine<T>::build_spill_plan() {
         got += append_cluster(desc ? nb - 1 - i : i, ids);
         ++i;
       } while (i < nb && got < target);
-      const int step = add_step(std::move(ids));
-      for (int j = first; j < i; ++j) P.step_of[desc ? nb - 1 - j : j] = step;
-      P.chunks.push_back({step, first, i});
+      steps.push_back(std::move(ids));
+      for (int j = first; j < i; ++j)
+        of[desc ? nb - 1 - j : j] = static_cast<int>(steps.size()) - 1;
     }
-    return P;
+    return of;
   };
   auto row_slots = [&](int l) {
     return [this, l](int r, std::vector<SpillStore::SlotId>& ids) {
@@ -358,22 +281,23 @@ void UlvEngine<T>::build_spill_plan() {
   };
   for (int l = depth_; l >= 1; --l) {
     const int nb = levels_[l].nb;
-    spill_plan_[l][0] = chunked(
+    step_of[0][l] = chunked(
         nb, false, [&](int c, std::vector<SpillStore::SlotId>& ids) {
           if (qslot_[l][c].first != SpillStore::kNoSlot)
             ids.push_back(qslot_[l][c].first);
           return qslot_[l][c].second;
         });
-    spill_plan_[l][1] = chunked(nb, false, row_slots(l));
-    spill_plan_[l][2] = chunked(nb, false, row_slots(l));
+    step_of[1][l] = chunked(nb, false, row_slots(l));
+    step_of[2][l] = chunked(nb, false, row_slots(l));
   }
-  top_step_ = add_step(topslot_ != SpillStore::kNoSlot
-                           ? std::vector<SpillStore::SlotId>{topslot_}
-                           : std::vector<SpillStore::SlotId>{});
+  const int top_step = static_cast<int>(steps.size());
+  steps.push_back(topslot_ != SpillStore::kNoSlot
+                      ? std::vector<SpillStore::SlotId>{topslot_}
+                      : std::vector<SpillStore::SlotId>{});
   for (int l = 1; l <= depth_; ++l) {
     const int nb = levels_[l].nb;
-    spill_plan_[l][3] = chunked(nb, true, row_slots(l));
-    spill_plan_[l][4] = chunked(
+    step_of[3][l] = chunked(nb, true, row_slots(l));
+    step_of[4][l] = chunked(
         nb, false, [&](int c, std::vector<SpillStore::SlotId>& ids) {
           std::uint64_t b = qslot_[l][c].second;
           if (qslot_[l][c].first != SpillStore::kNoSlot)
@@ -386,43 +310,44 @@ void UlvEngine<T>::build_spill_plan() {
           return b;
         });
   }
-  n_spill_steps_ = static_cast<int>(steps.size());
-  // Step of every recorded solve task. Tasks without factor reads ride on a
-  // step that respects their edges: merges on the down chunk of their odd
-  // child; bwd_split/bwd_xs on their level's first y step (every y step of
-  // the level is at or after it, every combine strictly after).
-  if (!solve_dag_.empty()) {
-    task_step_.assign(solve_dag_.n_tasks(), -1);
-    for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
-      const int l = solve_dag_.meta[t].level, o = solve_dag_.meta[t].owner;
-      switch (solve_kind_[t]) {
-        case SolveKind::kFwdXform:
-          task_step_[t] = spill_plan_[l][0].step_of[o];
-          break;
-        case SolveKind::kFwdSubst:
-          task_step_[t] = spill_plan_[l][1].step_of[o];
-          break;
-        case SolveKind::kFwdDown:
-          task_step_[t] = spill_plan_[l][2].step_of[o];
-          break;
-        case SolveKind::kFwdMerge:
-          task_step_[t] = spill_plan_[l][2].step_of[2 * o + 1];
-          break;
-        case SolveKind::kTop:
-          task_step_[t] = top_step_;
-          break;
-        case SolveKind::kBwdSplit:
-        case SolveKind::kBwdXs:
-          task_step_[t] = spill_plan_[l][3].chunks.front()[0];
-          break;
-        case SolveKind::kBwdY:
-          task_step_[t] = spill_plan_[l][3].step_of[o];
-          break;
-        case SolveKind::kBwdCombine:
-          task_step_[t] = spill_plan_[l][4].step_of[o];
-          break;
-      }
+
+  // One barrier task per step advances the solve's Pass (release step s-1,
+  // pin step s); every solve task runs between its step's barrier and the
+  // next, so the sweep's reads are always pinned and the prefetcher always
+  // knows the cursor. Barriers outrank every real task: once a step's work
+  // is done, the window must move before stragglers of the same priority
+  // band run. Tasks without factor reads ride on a step that respects their
+  // edges: merges on the down chunk of their odd child; bwd_split/bwd_xs on
+  // their level's first y step (every y step of the level is at or after
+  // it, every combine strictly after).
+  const int n_solve = solve_dag_.n_tasks();
+  const int n_steps = static_cast<int>(steps.size());
+  const double bar_priority =
+      1.0 + *std::max_element(solve_dag_.priority.begin(),
+                              solve_dag_.priority.end());
+  for (int st = 0; st < n_steps; ++st) {
+    const TaskId bar = solve_graph_.add_task({}, "spill_step", st, -1);
+    solve_graph_.set_priority(bar, bar_priority);
+    if (st > 0) solve_graph_.add_dependency(bar - 1, bar);
+  }
+  for (TaskId t = 0; t < n_solve; ++t) {
+    const int l = solve_dag_.meta[t].level, o = solve_dag_.meta[t].owner;
+    int st = 0;
+    switch (solve_kind_[t]) {
+      case SolveKind::kFwdXform: st = step_of[0][l][o]; break;
+      case SolveKind::kFwdSubst: st = step_of[1][l][o]; break;
+      case SolveKind::kFwdDown: st = step_of[2][l][o]; break;
+      case SolveKind::kFwdMerge: st = step_of[2][l][2 * o + 1]; break;
+      case SolveKind::kBwdSplit:
+      case SolveKind::kBwdXs:
+        st = *std::min_element(step_of[3][l].begin(), step_of[3][l].end());
+        break;
+      case SolveKind::kBwdY: st = step_of[3][l][o]; break;
+      case SolveKind::kBwdCombine: st = step_of[4][l][o]; break;
+      case SolveKind::kTop: st = top_step; break;
     }
+    solve_graph_.add_dependency(n_solve + st, t);
+    if (st + 1 < n_steps) solve_graph_.add_dependency(t, n_solve + st + 1);
   }
   store_->seal(std::move(steps));
 }
@@ -430,8 +355,8 @@ void UlvEngine<T>::build_spill_plan() {
 template <class T>
 void UlvEngine<T>::build_solve_plan() {
   // The solve's task structure depends only on the block structure — not on
-  // ranks, the rhs, or nrhs — so it is recorded ONCE here and instantiated
-  // per solve. Forward sweep: fwd_xform -> fwd_subst -> fwd_down ->
+  // ranks, the rhs, or nrhs — so it is built ONCE here and replayed by
+  // every solve. Forward sweep: fwd_xform -> fwd_subst -> fwd_down ->
   // fwd_merge per level, the merges feeding the parent level's transforms
   // and finally "top". Backward sweep: every forward task gets a twin
   // (fwd_xform ~ bwd_combine, fwd_subst ~ bwd_y, fwd_down ~ bwd_xs,
@@ -440,14 +365,11 @@ void UlvEngine<T>::build_solve_plan() {
   // forward sweep produced them. bwd_split is a pure gate (the split's
   // children read their parent sub-blocks directly in bwd_xs).
   const int d = depth_;
-  DagRecord rec;
-  std::vector<SolveKind> kinds;
-  auto add = [&rec, &kinds](SolveKind kind, const char* label, int owner,
-                            int level) {
-    rec.meta.push_back({label, owner, level});
-    rec.successors.emplace_back();
-    kinds.push_back(kind);
-    return static_cast<TaskId>(rec.meta.size()) - 1;
+  TaskGraph& g = solve_graph_;
+  auto add = [this, &g](SolveKind kind, const char* label, int owner,
+                        int level) {
+    solve_kind_.push_back(kind);
+    return g.add_task({}, label, owner, level);
   };
   std::vector<std::vector<TaskId>> t_xf(d + 1), t_su(d + 1), t_dn(d + 1),
       t_mg(d + 1);
@@ -490,8 +412,8 @@ void UlvEngine<T>::build_solve_plan() {
 
   // Backward twins, appended in forward id order: bwd(t) = t_top + 1 + t.
   for (TaskId t = 0; t < t_top; ++t) {
-    const TaskMeta& m = rec.meta[t];
-    switch (kinds[t]) {
+    const TaskMeta m = g.meta()[t];  // a copy: add() grows the meta vector
+    switch (solve_kind_[t]) {
       case SolveKind::kFwdXform:
         add(SolveKind::kBwdCombine, "bwd_combine", m.owner, m.level);
         break;
@@ -508,147 +430,13 @@ void UlvEngine<T>::build_solve_plan() {
   }
   auto bwd = [t_top](TaskId t) { return t_top + 1 + t; };
   for (const auto& [u, v] : fwd_edges) {
-    rec.successors[u].push_back(v);
+    g.add_dependency(u, v);
     // Reversed for the backward pass; the edge into "top" reverses into the
     // edge out of it (top is its own twin — the turning point of the solve).
-    if (v == t_top)
-      rec.successors[t_top].push_back(bwd(u));
-    else
-      rec.successors[bwd(v)].push_back(bwd(u));
+    g.add_dependency(v == t_top ? t_top : bwd(v), bwd(u));
   }
-  // Priorities follow the same knob as the factorization: under
-  // UlvPriority::None the record carries none (per DagRecord's contract),
-  // so the None-vs-CriticalPath scheduling ablation covers the solve too.
-  if (opt_.priority == UlvPriority::CriticalPath)
-    rec.priority = bottom_levels(rec.n_tasks(), rec.successors);
-  solve_dag_ = std::move(rec);
-  solve_kind_ = std::move(kinds);
-}
-
-template <class T>
-void UlvEngine<T>::solve_via_dag(MatrixView b, ThreadPool& pool) const {
-  SolveScratch s;
-  init_solve_scratch(s, b.cols());
-  TaskGraph g;
-  // Out-of-core: one barrier task per spill step advances the Pass (release
-  // step s-1, pin step s); every solve task runs between its step's barrier
-  // and the next, so the sweep's reads are always pinned and the prefetcher
-  // always knows the cursor. A store failure must not throw on a pool
-  // worker — the barrier catches it, later tasks degrade to no-ops, and the
-  // exception rethrows on this (the calling) thread after execution drains.
-  // The Pass waits for the store's sweep turn just before execution, so
-  // concurrent solves sweep the spilled factor one at a time. This thread is
-  // never a worker of `pool` (solve() runs such callers inline), so its wait
-  // cannot starve the sweep that holds the turn.
-  const bool ooc = store_ != nullptr && n_spill_steps_ > 0;
-  std::optional<SpillStore::Pass> pass;
-  std::atomic<bool> aborted{false};
-  std::exception_ptr spill_err;
-  std::mutex spill_err_mu;
-  for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
-    const TaskMeta& m = solve_dag_.meta[t];
-    const int level = m.level, id = m.owner;
-    std::function<void()> fn;
-    switch (solve_kind_[t]) {
-      case SolveKind::kFwdXform:
-        fn = [this, &s, b, level, id] { sbody_transform(s, b, level, id); };
-        break;
-      case SolveKind::kFwdSubst:
-        fn = [this, &s, level, id] { sbody_subst(s, level, id); };
-        break;
-      case SolveKind::kFwdDown:
-        fn = [this, &s, level, id] { sbody_down(s, level, id); };
-        break;
-      case SolveKind::kFwdMerge:
-        fn = [this, &s, level, id] { sbody_merge(s, level, id); };
-        break;
-      case SolveKind::kTop:
-        fn = [this, &s] { sbody_top(s); };
-        break;
-      case SolveKind::kBwdSplit:
-        fn = [] {};  // gate: children read their parent sub-blocks in bwd_xs
-        break;
-      case SolveKind::kBwdXs:
-        fn = [this, &s, level, id] { sbody_xsplit(s, level, id); };
-        break;
-      case SolveKind::kBwdY:
-        fn = [this, &s, level, id] { sbody_y(s, level, id); };
-        break;
-      case SolveKind::kBwdCombine:
-        fn = [this, &s, b, level, id] { sbody_combine(s, b, level, id); };
-        break;
-    }
-    if (ooc)
-      fn = [body = std::move(fn), &aborted] {
-        if (!aborted.load(std::memory_order_acquire)) body();
-      };
-    g.add_task(std::move(fn), m.label, m.owner, m.level);
-  }
-  for (TaskId u = 0; u < solve_dag_.n_tasks(); ++u)
-    for (const TaskId v : solve_dag_.successors[u]) g.add_dependency(u, v);
-  for (std::size_t t = 0; t < solve_dag_.priority.size(); ++t)
-    g.set_priority(static_cast<TaskId>(t), solve_dag_.priority[t]);
-  SpillStats ss0;
-  if (ooc) {
-    // Barriers outrank every real task: once a step's work is done, the
-    // window must move before stragglers of the same priority band run.
-    double bar_priority = 0.0;
-    if (!solve_dag_.priority.empty())
-      bar_priority = 1.0 + *std::max_element(solve_dag_.priority.begin(),
-                                             solve_dag_.priority.end());
-    std::vector<TaskId> bar(n_spill_steps_);
-    for (int st = 0; st < n_spill_steps_; ++st) {
-      bar[st] = g.add_task(
-          [&pass, &aborted, &spill_err, &spill_err_mu, st] {
-            if (aborted.load(std::memory_order_acquire)) return;
-            try {
-              pass->advance(st);
-            } catch (...) {
-              {
-                std::lock_guard<std::mutex> lk(spill_err_mu);
-                if (!spill_err) spill_err = std::current_exception();
-              }
-              aborted.store(true, std::memory_order_release);
-            }
-          },
-          "spill_step", st, -1);
-      if (st > 0) g.add_dependency(bar[st - 1], bar[st]);
-      if (!solve_dag_.priority.empty()) g.set_priority(bar[st], bar_priority);
-    }
-    for (TaskId t = 0; t < solve_dag_.n_tasks(); ++t) {
-      const int st = task_step_[t];
-      g.add_dependency(bar[st], t);
-      if (st + 1 < n_spill_steps_) g.add_dependency(t, bar[st + 1]);
-    }
-  }
-  if (ooc) {
-    pass.emplace(*store_, /*wait_turn=*/true);
-    ss0 = store_->stats();
-  }
-  ExecStats ex = g.execute(pool);
-  if (ooc) {
-    // Counters first: once the turn is released the next sweep moves them.
-    const SpillStats ss1 = store_->stats();
-    pass.reset();  // release the last step and the turn before surfacing
-    if (spill_err) std::rethrow_exception(spill_err);
-    ex.prefetch_hits = ss1.step_hits - ss0.step_hits;
-    ex.prefetch_misses = ss1.step_misses - ss0.step_misses;
-    ex.spill_fault_bytes = ss1.fault_bytes - ss0.fault_bytes;
-  }
-  // Surface what the execution measured instead of discarding it: the
-  // H2_SOLVE_TRACE hook mirrors the factorization's fig13 trace (rewritten
-  // per solve — point it at a per-run path when batching), and
-  // last_solve_stats() keeps the most recent trace for programmatic access.
-  const std::string trace_path =
-      env::get_string("H2_SOLVE_TRACE", std::string());
-  {
-    std::lock_guard<std::mutex> lk(stats_mutex_);
-    // The CSV write shares the lock so concurrent solves finishing at once
-    // cannot interleave (truncate-while-writing) on one trace file.
-    if (!trace_path.empty()) TaskGraph::write_trace_csv(ex, trace_path);
-    last_solve_stats_ = std::move(ex);
-    ++solve_stats_gen_;
-  }
+  g.set_critical_path_priorities();
+  solve_dag_ = g.record();
 }
 
 template <class T>
@@ -665,9 +453,14 @@ std::uint64_t UlvEngine<T>::solve_stats_generation() const {
 
 template <class T>
 void UlvEngine<T>::solve(MatrixView b) const {
-  assert(b.rows() == tree_->n_points());
-  // Out-of-core only: registers this solve with the gate demote_to_disk()
-  // drains, so a demotion never evicts under a sweep that predates it.
+  if (b.rows() != tree_->n_points())
+    throw std::invalid_argument(
+        "ULV solve: rhs has " + std::to_string(b.rows()) +
+        " rows, but the factorization is of order " +
+        std::to_string(tree_->n_points()));
+  // Registers this solve with the gate demote_to_disk() drains, so a
+  // demotion never evicts, or re-plans the sweep, under a solve that
+  // predates it.
   const SolveGuard guard(*this);
   if (depth_ == 0) {
     // Degenerate one-cluster tree: the whole solve is this getrs, so the
@@ -676,40 +469,74 @@ void UlvEngine<T>::solve(MatrixView b) const {
     getrs(top_lu_, top_piv_, b);
     return;
   }
-  if (!solve_dag_mode()) {
-    solve_loops(b, /*wait_turn=*/true);
-    return;
+  // A solve started on a worker of its own pool (a pipelined solve_async
+  // batch) replays the graph inline on that worker, so whole solves
+  // pipeline across the pool. It must not wait for a spill sweep turn
+  // either: the sweep holding the turn may need this very worker to finish.
+  ThreadPool& pool = exec_pool();
+  const bool inline_replay = ThreadPool::current() == &pool;
+  SolveScratch s;
+  init_solve_scratch(s, b.cols());
+  std::optional<SpillStore::Pass> pass;
+  SpillStats ss0;
+  if (store_ != nullptr) {
+    pass.emplace(*store_, /*wait_turn=*/!inline_replay);
+    ss0 = store_->stats();
   }
-  // Pool selection: the caller's pool; else the owned solve pool when the
-  // (WorkSteal-only) global pool does not fit — n_workers > 0 or a Fifo
-  // schedule — created on the FIRST solve and reused for every later one;
-  // else the process-wide pool. A factorize-only user never pays for it.
-  ThreadPool* pool = opt_.pool;
-  if (pool == nullptr) {
-    const ThreadPool::QueuePolicy want = opt_.queue_policy();
-    if (opt_.n_workers > 0 || want == ThreadPool::QueuePolicy::Fifo) {
-      std::call_once(solve_pool_once_, [&] {
-        solve_pool_ = std::make_unique<ThreadPool>(
-            std::max(1, opt_.n_workers > 0 ? opt_.n_workers
-                                           : ThreadPool::env_threads()),
-            want);
-      });
-      pool = solve_pool_.get();
-    } else {
-      pool = &ThreadPool::global();
+  // A store failure must not throw on a pool worker: the failing step
+  // records it, later tasks degrade to no-ops, and it rethrows here once
+  // execution drained. Steps are chained, so at most one step ever fails.
+  std::atomic<bool> aborted{false};
+  std::exception_ptr spill_err;
+  const std::vector<TaskMeta>& meta = solve_graph_.meta();
+  const int n_plan = solve_dag_.n_tasks();
+  ExecStats ex = solve_graph_.execute(pool, [&](TaskId t) {
+    if (aborted.load(std::memory_order_acquire)) return;
+    const int level = meta[t].level, id = meta[t].owner;
+    if (t >= n_plan) {  // spill-step barrier `id` (see solve_graph_)
+      try {
+        pass->advance(id);
+      } catch (...) {
+        spill_err = std::current_exception();
+        aborted.store(true, std::memory_order_release);
+      }
+      return;
     }
+    switch (solve_kind_[t]) {
+      case SolveKind::kFwdXform: sbody_transform(s, b, level, id); break;
+      case SolveKind::kFwdSubst: sbody_subst(s, level, id); break;
+      case SolveKind::kFwdDown: sbody_down(s, level, id); break;
+      case SolveKind::kFwdMerge: sbody_merge(s, level, id); break;
+      case SolveKind::kTop: sbody_top(s); break;
+      case SolveKind::kBwdSplit:
+        break;  // gate: children read their parent sub-blocks in bwd_xs
+      case SolveKind::kBwdXs: sbody_xsplit(s, level, id); break;
+      case SolveKind::kBwdY: sbody_y(s, level, id); break;
+      case SolveKind::kBwdCombine: sbody_combine(s, b, level, id); break;
+    }
+  });
+  if (pass.has_value()) {
+    // Counters first: once the turn is released the next sweep moves them.
+    const SpillStats ss1 = store_->stats();
+    pass.reset();  // release the last step and the turn before surfacing
+    if (spill_err) std::rethrow_exception(spill_err);
+    ex.prefetch_hits = ss1.step_hits - ss0.step_hits;
+    ex.prefetch_misses = ss1.step_misses - ss0.step_misses;
+    ex.spill_fault_bytes = ss1.fault_bytes - ss0.fault_bytes;
   }
-  if (pool == ThreadPool::current()) {
-    // A solve running ON a worker of its own pool (a pipelined solve_async
-    // batch) cannot block on that pool; the sweep is bitwise identical, so
-    // run it inline — whole solves then pipeline across the pool's workers
-    // instead of splitting one solve into tasks. It must not wait for a
-    // spill sweep turn either: the DAG sweep holding the turn may need this
-    // very worker to finish.
-    solve_loops(b, /*wait_turn=*/false);
-    return;
-  }
-  solve_via_dag(b, *pool);
+  if (inline_replay) return;
+  // Surface what the execution measured instead of discarding it: the
+  // H2_SOLVE_TRACE hook mirrors the factorization's fig13 trace (rewritten
+  // per solve — point it at a per-run path when batching), and
+  // last_solve_stats() keeps the most recent trace for programmatic access.
+  const std::string trace_path =
+      env::get_string("H2_SOLVE_TRACE", std::string());
+  std::lock_guard<std::mutex> lk(stats_mutex_);
+  // The CSV write shares the lock so concurrent solves finishing at once
+  // cannot interleave (truncate-while-writing) on one trace file.
+  if (!trace_path.empty()) TaskGraph::write_trace_csv(ex, trace_path);
+  last_solve_stats_ = std::move(ex);
+  ++solve_stats_gen_;
 }
 
 // The header's extern template declarations suppress implicit instantiation
@@ -719,15 +546,8 @@ void UlvEngine<T>::solve(MatrixView b) const {
 #define H2_INSTANTIATE_ULV_SOLVE(T)                                            \
   template void UlvEngine<T>::init_solve_scratch(UlvEngine<T>::SolveScratch& s, int nrhs)    \
       const;                                                                   \
-  template bool UlvEngine<T>::solve_dag_mode() const;                          \
   template void UlvEngine<T>::build_solve_plan();                              \
   template void UlvEngine<T>::build_spill_plan();                              \
-  template void UlvEngine<T>::solve_loops(MatrixViewT<T> b, bool wait_turn) const; \
-  template void UlvEngine<T>::solve_loops_spill(UlvEngine<T>::SolveScratch& s,               \
-                                                MatrixViewT<T> b,              \
-                                                bool wait_turn) const;         \
-  template void UlvEngine<T>::solve_via_dag(MatrixViewT<T> b,                  \
-                                            ThreadPool& pool) const;           \
   template void UlvEngine<T>::sbody_transform(UlvEngine<T>::SolveScratch& s,                 \
                                               ConstMatrixViewT<T> b,           \
                                               int level, int c) const;         \

@@ -42,7 +42,7 @@ ScheduleInput UlvDistModel::replay_input() const {
     return static_cast<int>(in.durations.size()) - 1;
   };
 
-  // Fallback (flat UlvTaskRecord log, e.g. the PhaseLoops executor): tasks
+  // Fallback (flat UlvTaskRecord log, e.g. a Sequential-mode run): tasks
   // are recorded in serial execution order; a change of (level, kind) marks
   // a phase boundary. Tasks inside one phase are independent block-row work
   // (the paper's point: no trailing sub-matrix dependencies), so they only

@@ -3,6 +3,8 @@
 #include <atomic>
 #include <cstdint>
 #include <functional>
+#include <memory>
+#include <mutex>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -43,13 +45,11 @@ struct ExecStats {
   double useful_seconds = 0.0;    ///< sum of task durations
   int n_workers = 0;
   std::vector<TaskRecord> records;
-  /// Ready-queue discipline of the executing pool ("fifo" / "worksteal").
-  const char* schedule_policy = "";
-  /// Task-ordering policy in effect ("none" / "critical-path").
+  /// Task-ordering policy in effect ("none" / "custom" / "critical-path").
   const char* priority_policy = "";
   /// Per-worker-lane executed/stolen counts of THIS execution (deltas of the
   /// pool's cumulative counters; meaningful when the pool runs one graph at
-  /// a time, which is how every executor in this repo uses it).
+  /// a time). Empty for an inline execution, which dispatches nothing.
   std::vector<ThreadPool::WorkerCounters> worker_counters;
   /// High-water mark of the tracked block bytes (runtime/block_pool's
   /// blockmem counters) during this execution's window, and the live bytes
@@ -69,8 +69,8 @@ struct ExecStats {
   std::uint64_t prefetch_misses = 0;
   std::uint64_t spill_fault_bytes = 0;
 
-  /// Tasks that arrived at their worker by stealing (0 under Fifo or with a
-  /// single worker — a worker cannot steal from itself).
+  /// Tasks that arrived at their worker by stealing (0 with a single
+  /// worker — a worker cannot steal from itself).
   [[nodiscard]] std::uint64_t total_steals() const {
     std::uint64_t s = 0;
     for (const auto& w : worker_counters) s += w.stolen;
@@ -119,18 +119,31 @@ std::vector<double> bottom_levels(int n_tasks,
                                   const std::vector<double>& durations = {},
                                   double per_task_overhead = 0.0);
 
-/// A one-shot dependency-counted task DAG (PaRSEC/StarPU substitute).
+/// A replayable dependency-counted task DAG (PaRSEC/StarPU substitute).
 ///
-/// Tasks become ready when all their predecessors finish; ready tasks are
-/// executed by a ThreadPool. Execution records per-task spans so that the
-/// same DAG can afterwards be *replayed* on any number of simulated workers
-/// by the scheduling simulator — this is how the strong-scaling figures are
+/// The structure — tasks, edges, priorities — is built once; execute() then
+/// runs it any number of times, also concurrently from several threads:
+/// pending counters and trace records live in each call. Tasks become ready
+/// when all their predecessors finish; ready tasks are executed by a
+/// ThreadPool. Execution records per-task spans so that the same DAG can
+/// afterwards be *replayed* on any number of simulated workers by the
+/// scheduling simulator — this is how the strong-scaling figures are
 /// produced on a single-core host.
+///
+/// The first execution after the structure last changed checks it for
+/// cycles and fixes a deterministic serial order (Kahn's algorithm taking
+/// the highest-priority ready task first, ties by id, so a boosted release
+/// task runs the moment it is ready); later executions reuse both. A call
+/// from a worker of the target pool walks that order inline on the calling
+/// thread instead of dispatching to the pool — a worker blocking on work
+/// queued behind itself could deadlock it.
 class TaskGraph {
  public:
-  /// Register a task; returns its id. `label` classifies the task for traces
-  /// (e.g. "getrf", "trsm", "gemm"); `owner`/`level` tag the owning block
-  /// row and tree level for ownership-aware replay (-1: untagged).
+  /// Register a task; returns its id. `fn` is the body the closure form of
+  /// execute() runs (may be empty for graphs only executed through a
+  /// dispatcher). `label` classifies the task for traces (e.g. "getrf",
+  /// "trsm", "gemm"); `owner`/`level` tag the owning block row and tree
+  /// level for ownership-aware replay (-1: untagged).
   TaskId add_task(std::function<void()> fn, std::string label = {},
                   int owner = -1, int level = -1);
 
@@ -138,14 +151,14 @@ class TaskGraph {
   void add_dependency(TaskId before, TaskId after);
 
   /// Scheduling priority of one task (higher runs earlier once ready;
-  /// default 0). Under a Fifo pool the shared queue is a priority queue;
-  /// under WorkSteal the executor releases a task's ready successors lowest
-  /// priority first, so the highest sits on top of the worker's LIFO deque.
-  /// Classifies the policy as "custom" when no structural policy ran;
-  /// called after set_critical_path_priorities it refines individual ranks
-  /// without reclassifying (the factorization overlays its release tasks on
-  /// top of the critical-path ranking this way — the record's priority
-  /// vector always carries the actual values either way).
+  /// default 0). The shared queue of the pool is a priority queue, and the
+  /// executor releases a task's ready successors lowest priority first, so
+  /// the highest sits on top of the worker's LIFO deque. Classifies the
+  /// policy as "custom" when no structural policy ran; called after
+  /// set_critical_path_priorities it refines individual ranks without
+  /// reclassifying (the factorization overlays its release tasks on top of
+  /// the critical-path ranking this way — the record's priority vector
+  /// always carries the actual values either way).
   void set_priority(TaskId id, double priority);
 
   /// Output payload of one task in bytes (what a cross-rank consumer of its
@@ -195,26 +208,42 @@ class TaskGraph {
                 : std::vector<double>{}};
   }
 
-  /// Execute the whole DAG on `pool`'s workers — the pool is borrowed, not
-  /// owned, so callers can run many graphs through one process-wide pool.
-  /// Can only be called once. Throws std::logic_error (before running any
-  /// task) when dependency cycles make part of the graph unexecutable (the
-  /// message names the stuck tasks), or when called from a worker of `pool`
-  /// itself: execute() blocks the calling thread, so a pool draining into
-  /// itself can deadlock silently — the guard turns that into an error.
-  ExecStats execute(ThreadPool& pool);
+  /// Execute every task once on `pool`'s workers, running task t as
+  /// run(t) — the pool is borrowed, not owned, so callers can run many
+  /// graphs through one process-wide pool. Reentrant: concurrent calls
+  /// share only the immutable structure. Called from a worker of `pool`, it
+  /// runs the serial order inline on the calling thread instead (the
+  /// returned stats then show one worker and no pool counters). Throws
+  /// std::logic_error (before running any task) when dependency cycles make
+  /// part of the graph unexecutable; the message names the stuck tasks.
+  ExecStats execute(ThreadPool& pool,
+                    const std::function<void(TaskId)>& run) const;
+
+  /// Closure form: run(t) calls the body add_task stored for t.
+  ExecStats execute(ThreadPool& pool) const;
 
   /// Convenience overload: execute on a freshly spawned pool of `n_threads`
   /// workers that lives only for this call.
-  ExecStats execute(int n_threads);
+  ExecStats execute(int n_threads) const;
 
   /// Write the trace as CSV (task id, label, owner, level, worker, span).
-  /// `#`-prefixed comment lines ahead of the header carry the scheduling
+  /// `#`-prefixed comment lines ahead of the header carry the priority
   /// policy and the per-worker executed/stolen counters.
   static bool write_trace_csv(const ExecStats& stats, const std::string& path);
 
  private:
-  void throw_if_cyclic() const;
+  /// What every execution reuses: the serial order and each task's
+  /// successors sorted by ascending priority (stable on ties), in CSR form.
+  struct Plan {
+    std::vector<TaskId> order;
+    /// Task t's successors are succ[succ_begin[t] .. succ_begin[t + 1]).
+    std::vector<int> succ_begin;
+    std::vector<TaskId> succ;
+  };
+  struct Run;
+  /// The cached plan, built (and cycle-checked) on first use after the
+  /// structure changed.
+  const Plan& plan() const;
 
   std::vector<std::function<void()>> tasks_;
   std::vector<TaskMeta> meta_;
@@ -228,7 +257,10 @@ class TaskGraph {
   /// execute() returns, so the values themselves are already synchronized —
   /// the atomic keeps the flag itself race-free).
   std::atomic<bool> out_bytes_set_{false};
-  bool executed_ = false;
+  /// Reset by every structural change; rebuilt under plan_mu_ so concurrent
+  /// first executions build it once.
+  mutable std::unique_ptr<const Plan> plan_;
+  mutable std::mutex plan_mu_;
 };
 
 }  // namespace h2

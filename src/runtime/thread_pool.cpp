@@ -11,7 +11,7 @@ thread_local int tl_worker_index = -1;
 thread_local ThreadPool* tl_pool = nullptr;
 }  // namespace
 
-ThreadPool::ThreadPool(int n_threads, QueuePolicy policy) : policy_(policy) {
+ThreadPool::ThreadPool(int n_threads) {
   if (n_threads < 1) n_threads = 1;
   lanes_.reserve(n_threads);
   for (int i = 0; i < n_threads; ++i) lanes_.push_back(std::make_unique<Lane>());
@@ -42,7 +42,7 @@ void ThreadPool::submit(std::function<void()> task, double priority) {
   // must never land before our increment (the count would go negative and
   // the thief's "state_ == 0" idle edge would fire early or not at all).
   state_.fetch_add(kPendingOne);
-  const bool local = policy_ == QueuePolicy::WorkSteal && tl_pool == this;
+  const bool local = tl_pool == this;
   try {
     if (local) {
       // LIFO-local: a worker's freshly made-ready task goes on top of its
@@ -148,11 +148,8 @@ void ThreadPool::worker_loop(int index) {
   for (;;) {
     Item item;
     bool stolen = false;
-    bool got = (policy_ == QueuePolicy::WorkSteal && try_pop_local(index, item)) ||
-               try_pop_shared(item);
-    if (!got && policy_ == QueuePolicy::WorkSteal) {
-      got = stolen = try_steal(index, rng, item);
-    }
+    bool got = try_pop_local(index, item) || try_pop_shared(item);
+    if (!got) got = stolen = try_steal(index, rng, item);
     if (!got) {
       {
         std::unique_lock<std::mutex> lk(mutex_);
@@ -186,10 +183,6 @@ void ThreadPool::worker_loop(int index) {
   }
 }
 
-const char* ThreadPool::policy_name() const {
-  return policy_ == QueuePolicy::Fifo ? "fifo" : "worksteal";
-}
-
 std::vector<ThreadPool::WorkerCounters> ThreadPool::worker_counters() const {
   std::vector<WorkerCounters> out(lanes_.size());
   for (std::size_t i = 0; i < lanes_.size(); ++i)
@@ -215,51 +208,6 @@ int ThreadPool::env_threads() {
 ThreadPool& ThreadPool::global() {
   static ThreadPool pool(env_threads());
   return pool;
-}
-
-void parallel_for(int begin, int end, const std::function<void(int)>& fn,
-                  ThreadPool* pool) {
-  const int n = end - begin;
-  if (n <= 0) return;
-  if (pool == nullptr) pool = &ThreadPool::global();
-  if (pool->size() <= 1 || n == 1) {
-    for (int i = begin; i < end; ++i) fn(i);
-    return;
-  }
-  // Dynamic self-scheduling over indices. All state is shared-owned so that
-  // straggler workers stay valid after the caller has been released.
-  struct State {
-    std::function<void(int)> fn;
-    int end;
-    std::atomic<int> next;
-    std::atomic<int> remaining;
-    std::mutex mutex;
-    std::condition_variable cv;
-    bool done = false;
-  };
-  auto st = std::make_shared<State>();
-  st->fn = fn;
-  st->end = end;
-  st->next.store(begin);
-  st->remaining.store(n);
-
-  const int n_tasks = std::min(pool->size(), n);
-  for (int t = 0; t < n_tasks; ++t) {
-    pool->submit([st] {
-      for (;;) {
-        const int i = st->next.fetch_add(1);
-        if (i >= st->end) break;
-        st->fn(i);
-        if (st->remaining.fetch_sub(1) == 1) {
-          std::lock_guard<std::mutex> lk(st->mutex);
-          st->done = true;
-          st->cv.notify_all();
-        }
-      }
-    });
-  }
-  std::unique_lock<std::mutex> lk(st->mutex);
-  st->cv.wait(lk, [&] { return st->done; });
 }
 
 }  // namespace h2

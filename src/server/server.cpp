@@ -26,8 +26,8 @@ namespace {
 // bits: the geometry, the kernel (identity AND parameters — two Laplace
 // kernels with different regularization must not collide, so the name is
 // backed by probed evaluations), and the numerics-relevant options.
-// Execution knobs (executor, schedule, workers, pools) are deliberately
-// excluded: the solve is bitwise identical across them by construction.
+// Execution knobs (workers, pools) are deliberately excluded: the solve is
+// bitwise identical across them by construction.
 // ---------------------------------------------------------------------------
 
 constexpr std::uint64_t kFnvOffset = 1469598103934665603ULL;

@@ -407,9 +407,9 @@ TEST_F(EdgeChargedModel, EdgeChargingDominatesAnalyticWithoutInvertingOrder) {
 }
 
 TEST(UlvDistModelFallback, FlatLogHasNoRecordedDagAndFallsBackToAnalytic) {
-  // PhaseLoops + record_tasks: only the flat log exists, so EdgeCharged
-  // silently degrades to the analytic charging instead of pretending it
-  // knows edges it never saw.
+  // Sequential mode + record_tasks: only the flat log exists, so
+  // EdgeCharged silently degrades to the analytic charging instead of
+  // pretending it knows edges it never saw.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   H2BuildOptions ho;
   ho.admissibility = {Admissibility::Strong, 0.75};
@@ -418,7 +418,7 @@ TEST(UlvDistModelFallback, FlatLogHasNoRecordedDagAndFallsBackToAnalytic) {
   UlvOptions u;
   u.tol = 1e-6;
   u.record_tasks = true;
-  u.executor = UlvExecutor::PhaseLoops;
+  u.mode = UlvMode::Sequential;
   const UlvFactorization f(h, u);
   UlvDistModel model{&f.stats(), &h.structure()};
   EXPECT_FALSE(model.has_recorded_dag());

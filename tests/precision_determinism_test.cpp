@@ -1,6 +1,6 @@
 // The fp32 lifecycle contracts that make Precision::F32 a first-class axis
-// rather than a demo: fp32 runs are bitwise identical across executors,
-// schedules, and worker counts (the same determinism contract fp64 carries);
+// rather than a demo: fp32 runs are bitwise identical across worker counts
+// and serial replay (the same determinism contract fp64 carries);
 // fp32 factor blocks survive SpillStore round-trips bit for bit at HALF the
 // fp64 spill bytes; the fp32 peak factor footprint lands at half of fp64's
 // (<= 0.55x with slack); and the recorded DAG reports fp32 task payloads at
@@ -23,6 +23,7 @@ namespace {
 using testing_support::Geometry;
 using testing_support::KernelKind;
 using testing_support::make_problem;
+using testing_support::on_worker;
 using testing_support::Problem;
 
 bool bitwise_equal(const Matrix& a, const Matrix& b) {
@@ -72,40 +73,33 @@ struct TempDir {
   }
 };
 
-TEST(PrecisionDeterminism, F32BitwiseAcrossExecutorsSchedulesAndWorkers) {
+TEST(PrecisionDeterminism, F32BitwiseAcrossWorkersAndSerialReplay) {
   // The determinism contract is per-precision: an fp32 factorization + solve
-  // must be bitwise identical no matter which executor ran it, which queue
-  // discipline the pool used, or how many workers raced — exactly the
-  // guarantee the fp64 path already carries.
+  // must be bitwise identical no matter how many workers raced, and equal
+  // to the serial replay (factorization and solve walked inline on a
+  // worker of the pool) — exactly the guarantee the fp64 path carries.
   const Problem p = make_problem(512, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-6));
 
+  ThreadPool pool(2);
   UlvOptions ref = f32_opts(1e-6);
-  ref.n_workers = 1;
-  const UlvFactorization fref(h, ref);
-  const Matrix x_ref = solve_fixed(p, fref);
-  const double ld_ref = fref.logabsdet();
-  ASSERT_EQ(fref.precision(), Precision::F32);
+  ref.pool = &pool;
+  Matrix x_ref;
+  double ld_ref = 0.0;
+  on_worker(pool, [&] {
+    const UlvFactorization fref(h, ref);
+    ASSERT_EQ(fref.precision(), Precision::F32);
+    x_ref = solve_fixed(p, fref);
+    ld_ref = fref.logabsdet();
+  });
+  ASSERT_FALSE(x_ref.empty());
 
-  const UlvExecutor executors[] = {UlvExecutor::TaskDag,
-                                   UlvExecutor::PhaseLoops};
-  const UlvSchedule schedules[] = {UlvSchedule::Fifo, UlvSchedule::WorkSteal};
-  const int workers[] = {1, 4, 8};
-  for (const UlvExecutor ex : executors) {
-    for (const UlvSchedule sc : schedules) {
-      for (const int w : workers) {
-        UlvOptions u = f32_opts(1e-6);
-        u.executor = ex;
-        u.solve_executor = ex;
-        u.schedule = sc;
-        u.n_workers = w;
-        const UlvFactorization f(h, u);
-        EXPECT_TRUE(bitwise_equal(solve_fixed(p, f), x_ref))
-            << "executor " << static_cast<int>(ex) << " schedule "
-            << static_cast<int>(sc) << " workers " << w;
-        EXPECT_EQ(f.logabsdet(), ld_ref);
-      }
-    }
+  for (const int w : {1, 4, 8}) {
+    UlvOptions u = f32_opts(1e-6);
+    u.n_workers = w;
+    const UlvFactorization f(h, u);
+    EXPECT_TRUE(bitwise_equal(solve_fixed(p, f), x_ref)) << w << " workers";
+    EXPECT_EQ(f.logabsdet(), ld_ref) << w << " workers";
   }
 }
 
@@ -184,7 +178,6 @@ TEST(PrecisionDeterminism, RecordedOutBytesHalvedAndFlopsUnchanged) {
     u.tol = 1e-6;
     u.precision = prec;
     u.record_tasks = true;
-    u.executor = UlvExecutor::TaskDag;
     return u;
   };
   const UlvFactorization f64(h, rec_opts(Precision::F64));

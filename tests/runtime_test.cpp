@@ -57,22 +57,6 @@ TEST(ThreadPool, WaitIdleOnEmptyPool) {
   SUCCEED();
 }
 
-TEST(ParallelFor, CoversRangeExactlyOnce) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(1000);
-  parallel_for(0, 1000, [&](int i) { ++hits[i]; }, &pool);
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ParallelFor, EmptyAndSingleRanges) {
-  ThreadPool pool(3);
-  int calls = 0;
-  parallel_for(5, 5, [&](int) { ++calls; }, &pool);
-  EXPECT_EQ(calls, 0);
-  parallel_for(7, 8, [&](int i) { EXPECT_EQ(i, 7); ++calls; }, &pool);
-  EXPECT_EQ(calls, 1);
-}
-
 TEST(TaskGraph, RespectsDependencies) {
   TaskGraph g;
   std::vector<int> order;
@@ -125,11 +109,63 @@ TEST(TaskGraph, TraceRecordsAreComplete) {
   EXPECT_LE(stats.overhead_fraction(), 1.0);
 }
 
-TEST(TaskGraph, ExecuteTwiceThrows) {
+TEST(TaskGraph, ExecuteTwiceReplaysEveryTask) {
+  // The structure is built once and replayed: each execution runs every
+  // task exactly once, with fresh pending counters and records.
   TaskGraph g;
-  g.add_task([] {});
-  g.execute(1);
-  EXPECT_THROW(g.execute(1), std::logic_error);
+  std::atomic<int> a_runs{0}, b_runs{0};
+  const TaskId a = g.add_task([&] { ++a_runs; }, "a");
+  const TaskId b = g.add_task([&] { ++b_runs; }, "b");
+  g.add_dependency(a, b);
+  ThreadPool pool(2);
+  for (int round = 1; round <= 3; ++round) {
+    const ExecStats stats = g.execute(pool);
+    EXPECT_EQ(a_runs.load(), round);
+    EXPECT_EQ(b_runs.load(), round);
+    ASSERT_EQ(stats.records.size(), 2u);
+    EXPECT_LE(stats.records[a].t_end, stats.records[b].t_start);
+  }
+}
+
+TEST(TaskGraph, ConcurrentExecutionsRunEachTaskOncePerExecution) {
+  // One graph executed from two threads at once: every execution runs each
+  // task exactly once, in dependency order, through its own dispatcher —
+  // the executions share only the immutable structure.
+  TaskGraph g;
+  constexpr int kTasks = 120;
+  for (int i = 0; i < kTasks; ++i) g.add_task({}, "t");
+  for (int i = 1; i < kTasks; ++i) {
+    g.add_dependency(i / 2, i);  // a binary fan-out tree
+    if (i % 7 == 0) g.add_dependency(i - 1, i);
+  }
+  g.set_critical_path_priorities();
+  ThreadPool pool(4);
+  constexpr int kRounds = 20;
+  auto client = [&](std::vector<int>& bad_runs, std::vector<int>& bad_order) {
+    for (int round = 0; round < kRounds; ++round) {
+      std::vector<std::atomic<int>> runs(kTasks);
+      std::vector<std::atomic<int>> stamp(kTasks);
+      std::atomic<int> clock{0};
+      g.execute(pool, [&](TaskId t) {
+        ++runs[t];
+        stamp[t] = ++clock;
+      });
+      for (int i = 0; i < kTasks; ++i) {
+        if (runs[i].load() != 1) ++bad_runs[i];
+        for (const TaskId s : g.successors()[i])
+          if (stamp[i].load() >= stamp[s].load()) ++bad_order[i];
+      }
+    }
+  };
+  std::vector<int> runs1(kTasks), order1(kTasks), runs2(kTasks),
+      order2(kTasks);
+  std::thread other([&] { client(runs2, order2); });
+  client(runs1, order1);
+  other.join();
+  for (int i = 0; i < kTasks; ++i) {
+    EXPECT_EQ(runs1[i] + runs2[i], 0) << "task " << i << " ran != once";
+    EXPECT_EQ(order1[i] + order2[i], 0) << "task " << i << " out of order";
+  }
 }
 
 TEST(TaskGraph, EmptyGraphCompletes) {
@@ -222,14 +258,14 @@ TEST(TaskGraph, MetadataReachesRecordsAndCsv) {
   const std::string path = ::testing::TempDir() + "/trace_meta_test.csv";
   ASSERT_TRUE(TaskGraph::write_trace_csv(stats, path));
   std::ifstream f(path);
-  // `#` comment lines carry the scheduling policy and per-worker counters
+  // `#` comment lines carry the priority policy and per-worker counters
   // ahead of the column header.
   std::string line;
   int comments = 0;
   bool policy_comment = false;
   while (std::getline(f, line) && line.rfind("#", 0) == 0) {
     ++comments;
-    if (line.find("schedule=") != std::string::npos) policy_comment = true;
+    if (line.find("priority=") != std::string::npos) policy_comment = true;
   }
   EXPECT_GE(comments, 2);  // policy line + one worker-counter line
   EXPECT_TRUE(policy_comment);
@@ -342,17 +378,9 @@ TEST(ThreadPool, EnvThreadsExplicitSignAccepted) {
   EXPECT_EQ(ThreadPool::env_threads(), 6);
 }
 
-TEST(ThreadPool, DefaultsToWorkStealing) {
-  ThreadPool pool(2);
-  EXPECT_EQ(pool.policy(), ThreadPool::QueuePolicy::WorkSteal);
-  EXPECT_STREQ(pool.policy_name(), "worksteal");
-  ThreadPool fifo(2, ThreadPool::QueuePolicy::Fifo);
-  EXPECT_STREQ(fifo.policy_name(), "fifo");
-}
-
 TEST(ThreadPool, SingleWorkerNeverSteals) {
   // A worker cannot steal from itself: with one lane every task is local.
-  ThreadPool pool(1, ThreadPool::QueuePolicy::WorkSteal);
+  ThreadPool pool(1);
   std::atomic<int> count{0};
   for (int i = 0; i < 50; ++i) pool.submit([&] { ++count; });
   pool.wait_idle();
@@ -367,7 +395,7 @@ TEST(ThreadPool, StarvedWorkerActuallySteals) {
   // All sub-tasks are pushed onto ONE worker's local deque (the root task
   // submits them from inside the pool); the other worker has nothing and
   // must steal from the loaded deque's FIFO end to participate at all.
-  ThreadPool pool(2, ThreadPool::QueuePolicy::WorkSteal);
+  ThreadPool pool(2);
   std::atomic<int> count{0};
   pool.submit([&] {
     for (int i = 0; i < 64; ++i)
@@ -384,12 +412,13 @@ TEST(ThreadPool, StarvedWorkerActuallySteals) {
   EXPECT_GE(counters[0].stolen + counters[1].stolen, 1u);
 }
 
-TEST(ThreadPool, FifoPolicyRunsHighestPriorityFirst) {
-  // One worker, a gate task blocking it, three prioritized tasks queued
-  // behind: the shared queue must release them highest priority first.
-  // (If the worker has not yet claimed the gate, the gate's priority 10
-  // still sorts it first, so the observed order is identical.)
-  ThreadPool pool(1, ThreadPool::QueuePolicy::Fifo);
+TEST(ThreadPool, SharedQueueRunsHighestPriorityFirst) {
+  // One worker, a gate task blocking it, three prioritized tasks submitted
+  // from outside the pool behind it: the shared queue must release them
+  // highest priority first. (If the worker has not yet claimed the gate,
+  // the gate's priority 10 still sorts it first, so the observed order is
+  // identical.)
+  ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   pool.submit([opened] { opened.wait(); }, /*priority=*/10.0);
@@ -402,8 +431,9 @@ TEST(ThreadPool, FifoPolicyRunsHighestPriorityFirst) {
   EXPECT_EQ(order, (std::vector<int>{3, 2, 1}));
 }
 
-TEST(ThreadPool, FifoPolicyKeepsSubmissionOrderOnEqualPriority) {
-  ThreadPool pool(1, ThreadPool::QueuePolicy::Fifo);
+TEST(ThreadPool, SharedQueueKeepsSubmissionOrderOnEqualPriority) {
+  // External submissions of equal priority run in submission order.
+  ThreadPool pool(1);
   std::promise<void> gate;
   std::shared_future<void> opened = gate.get_future().share();
   pool.submit([opened] { opened.wait(); }, /*priority=*/10.0);
@@ -415,22 +445,34 @@ TEST(ThreadPool, FifoPolicyKeepsSubmissionOrderOnEqualPriority) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
-TEST(TaskGraph, ExecuteFromOwnPoolWorkerThrows) {
+TEST(TaskGraph, ExecuteFromOwnPoolWorkerRunsInline) {
   // A worker feeding a graph to its own pool would block on work queued
-  // behind itself; the guard turns the silent deadlock into an error.
+  // behind itself; instead it walks the serial order on its own thread:
+  // highest priority first among the ready tasks, ties by id.
+  TaskGraph g;
+  std::vector<int> order;
+  const TaskId a = g.add_task([&] { order.push_back(0); }, "a");
+  const TaskId b = g.add_task([&] { order.push_back(1); }, "b");
+  g.add_task([&] { order.push_back(2); }, "c");
+  const TaskId d = g.add_task([&] { order.push_back(3); }, "d");
+  g.add_task([&] { order.push_back(4); }, "e");
+  g.add_dependency(a, d);
+  g.set_priority(b, 2.0);
+  g.set_priority(d, 5.0);  // outranks everything once a has run
   ThreadPool pool(1);
-  std::atomic<bool> threw{false};
+  ExecStats stats;
+  int worker = -2;
   pool.submit([&] {
-    TaskGraph g;
-    g.add_task([] {});
-    try {
-      g.execute(pool);
-    } catch (const std::logic_error&) {
-      threw = true;
-    }
+    worker = ThreadPool::worker_index();
+    stats = g.execute(pool);
   });
   pool.wait_idle();
-  EXPECT_TRUE(threw.load());
+  EXPECT_EQ(order, (std::vector<int>{1, 0, 3, 2, 4}));
+  EXPECT_EQ(stats.n_workers, 1);
+  EXPECT_TRUE(stats.worker_counters.empty());  // nothing was dispatched
+  ASSERT_EQ(stats.records.size(), 5u);
+  for (const TaskRecord& r : stats.records) EXPECT_EQ(r.worker, worker);
+  EXPECT_LE(stats.records[a].t_end, stats.records[d].t_start);
 }
 
 TEST(TaskGraph, CriticalPathPrioritiesAreBottomLevels) {
@@ -463,7 +505,6 @@ TEST(TaskGraph, ExecStatsCarryPolicyAndPerRunCounters) {
     for (int i = 0; i < n; ++i) g.add_task([] {}, "t");
     g.set_critical_path_priorities();
     const ExecStats stats = g.execute(pool);
-    EXPECT_STREQ(stats.schedule_policy, "worksteal");
     EXPECT_STREQ(stats.priority_policy, "critical-path");
     ASSERT_EQ(stats.worker_counters.size(), 1u);
     // Deltas, not the pool's cumulative counters: round 2 sees only its own.

@@ -431,11 +431,6 @@ TEST(ServerCache, DigestCoversEveryNumericsOptionAndNoExecutionKnob) {
               "max_refine_iters");
   // Execution-only: identical bits by the determinism contract, so the
   // first entry must be reused.
-  expect_hit(cheap_opts().with_executor(UlvExecutor::PhaseLoops), "executor");
-  expect_hit(cheap_opts().with_solve_executor(UlvExecutor::PhaseLoops),
-             "solve_executor");
-  expect_hit(cheap_opts().with_schedule(UlvSchedule::Fifo), "schedule");
-  expect_hit(cheap_opts().with_priority(UlvPriority::None), "priority");
   expect_hit(cheap_opts().with_workers(3), "n_workers");
   expect_hit(cheap_opts().with_record_tasks(true), "record_tasks");
   expect_hit(cheap_opts().with_spill_budget_mb(512.0), "spill_budget_mb");

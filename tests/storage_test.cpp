@@ -1,7 +1,7 @@
 // The storage tier (src/storage/): out-of-core factorization correctness —
 // solves with the spill/prefetch store enabled are bitwise identical to
-// in-RAM across executors and worker counts while resident factor bytes stay
-// under the budget (concurrent sweeps take turns); the
+// in-RAM across worker counts and serial replay while resident factor bytes
+// stay under the budget (concurrent sweeps take turns); the
 // arrived-in-time partition of the step counters; demote/promote round-trips;
 // fault injection (truncated files, corrupted payloads, a full disk) turning
 // into diagnosable errors that name the file and block, never a silently
@@ -62,12 +62,13 @@ struct TempDir {
   }
 };
 
-TEST(OutOfCore, BitwiseIdenticalToInRamAcrossExecutorsAndWorkers) {
+TEST(OutOfCore, BitwiseIdenticalToInRamAcrossWorkersAndSerialReplay) {
   // The tentpole contract: spilling moves factor bytes, never transforms
   // them, so an out-of-core solve at HALF the in-RAM factor footprint must
-  // reproduce the in-RAM answer bit for bit — under both executors, serial
-  // and parallel — while the store's resident gauge respects the budget up
-  // to one block of slack.
+  // reproduce the in-RAM answer bit for bit — on pools of 1, 4 and 8
+  // workers and in the serial replay (built and solved on a worker of the
+  // pool, which walks the spill steps inline) — while the store's resident
+  // gauge respects the budget up to one block of slack.
   Rng rng(21);
   const PointCloud pts = uniform_cube(512, rng);
   const LaplaceKernel kern(1e-2);
@@ -83,25 +84,28 @@ TEST(OutOfCore, BitwiseIdenticalToInRamAcrossExecutorsAndWorkers) {
       0.5 * static_cast<double>(rst->final_block_bytes) / (1 << 20);
 
   TempDir tmp;
-  struct Cfg {
-    UlvExecutor ex;
-    int workers;
-  };
-  const Cfg cfgs[] = {{UlvExecutor::TaskDag, 1},
-                      {UlvExecutor::TaskDag, 4},
-                      {UlvExecutor::PhaseLoops, 1},
-                      {UlvExecutor::PhaseLoops, 4}};
-  for (const Cfg& c : cfgs) {
-    const Solver s = Solver::build(pts, kern,
-                                   cheap_opts()
-                                       .with_executor(c.ex)
-                                       .with_solve_executor(c.ex)
-                                       .with_workers(c.workers)
-                                       .with_spill_dir(tmp.path)
-                                       .with_spill_budget_mb(budget_mb)
-                                       .with_spill_threads(2));
-    EXPECT_TRUE(bitwise_equal(s.solve(b), x_ref))
-        << "executor " << static_cast<int>(c.ex) << " workers " << c.workers;
+  ThreadPool pool(2);
+  // 0 workers: the serial replay on a worker of `pool`.
+  for (const int workers : {1, 4, 8, 0}) {
+    const SolverOptions o = cheap_opts()
+                                .with_workers(workers)
+                                .with_pool(workers > 0 ? nullptr : &pool)
+                                .with_spill_dir(tmp.path)
+                                .with_spill_budget_mb(budget_mb)
+                                .with_spill_threads(2);
+    std::unique_ptr<Solver> built;
+    Matrix x;
+    if (workers > 0) {
+      built = std::make_unique<Solver>(Solver::build(pts, kern, o));
+      x = built->solve(b);
+    } else {
+      testing_support::on_worker(pool, [&] {
+        built = std::make_unique<Solver>(Solver::build(pts, kern, o));
+        x = built->solve(b);
+      });
+    }
+    const Solver& s = *built;
+    EXPECT_TRUE(bitwise_equal(x, x_ref)) << workers << " workers";
     EXPECT_EQ(s.logabsdet(), ld_ref);
 
     const SpillStats ss = s.spill_stats();

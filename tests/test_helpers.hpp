@@ -1,5 +1,6 @@
 #pragma once
 
+#include <exception>
 #include <memory>
 
 #include "core/ulv_factorization.hpp"
@@ -9,6 +10,7 @@
 #include "kernels/assembly.hpp"
 #include "kernels/kernel.hpp"
 #include "linalg/linalg.hpp"
+#include "runtime/thread_pool.hpp"
 
 namespace h2::testing_support {
 
@@ -74,6 +76,24 @@ inline double ulv_solution_error(const Problem& p, const H2BuildOptions& hopt,
   const Matrix a = kernel_dense(*p.kernel, p.tree->points());
   const Matrix x_ref = lu_solve(a, b);
   return rel_error_fro(x, x_ref);
+}
+
+/// Run `fn` on a worker of `pool` and wait for it, rethrowing what it
+/// threw. Every DAG that `fn` executes on `pool` — a factorization or solve
+/// with UlvOptions::pool = &pool — then replays inline, in the graph's
+/// serial order: the reference the bitwise suites compare pools against.
+template <class Fn>
+void on_worker(ThreadPool& pool, Fn&& fn) {
+  std::exception_ptr err;
+  pool.submit([&] {
+    try {
+      fn();
+    } catch (...) {
+      err = std::current_exception();
+    }
+  });
+  pool.wait_idle();
+  if (err) std::rethrow_exception(err);
 }
 
 }  // namespace h2::testing_support

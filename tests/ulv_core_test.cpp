@@ -134,17 +134,28 @@ TEST(UlvCore, LogAbsDetMatchesDense) {
 }
 
 TEST(UlvCore, ThreadedExecutionMatchesSerial) {
+  // The serial replay (the DAG walked inline on a worker of the pool) and
+  // the 4-worker execution agree bit for bit, and both solve the system.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
-  UlvOptions serial;
-  serial.tol = 1e-9;
-  UlvOptions threaded = serial;
-  threaded.use_threads = true;
+  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
   ThreadPool pool(4);
-  threaded.pool = &pool;
-  const double e1 = ulv_solution_error(p, strong_opts(1e-9), serial);
-  const double e2 = ulv_solution_error(p, strong_opts(1e-9), threaded);
-  EXPECT_LT(e1, 1e-5);
-  EXPECT_LT(e2, 1e-5);
+  UlvOptions u;
+  u.tol = 1e-9;
+  u.pool = &pool;
+  Rng rng(7);
+  const Matrix b = Matrix::random(p.tree->n_points(), 1, rng);
+  Matrix x_serial = b, x_threaded = b;
+  double ld_serial = 0.0;
+  testing_support::on_worker(pool, [&] {
+    const UlvFactorization f(h, u);
+    f.solve(x_serial);
+    ld_serial = f.logabsdet();
+  });
+  const UlvFactorization f(h, u);
+  f.solve(x_threaded);
+  EXPECT_EQ(rel_error_fro(x_threaded, x_serial), 0.0);
+  EXPECT_EQ(f.logabsdet(), ld_serial);
+  EXPECT_LT(ulv_solution_error(p, strong_opts(1e-9), u), 1e-5);
 }
 
 TEST(UlvCore, RanksAreRecordedAndBounded) {

@@ -4,6 +4,7 @@
 #include <atomic>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <vector>
 
@@ -16,6 +17,7 @@ namespace {
 using testing_support::Geometry;
 using testing_support::KernelKind;
 using testing_support::make_problem;
+using testing_support::on_worker;
 using testing_support::Problem;
 
 H2BuildOptions strong_opts(double tol) {
@@ -129,48 +131,33 @@ TEST(UlvDag, WorkerCountDoesNotChangeTheAnswer) {
   }
 }
 
-TEST(UlvDag, SchedulerMatrixIsBitwiseIdentical) {
-  // Scheduling policy and worker count may only change WHEN a task runs —
-  // every cell of the {Fifo, WorkSteal} x {None, CriticalPath} x {1, 4, 8}
-  // matrix must reproduce the single-worker FIFO baseline bit for bit.
+TEST(UlvDag, SerialReplayMatchesEveryPoolBitwise) {
+  // Worker count may only change WHEN a task runs: factorizing and solving
+  // on pools of 1, 4 and 8 workers must reproduce the serial replay (the
+  // same DAG walked inline on a worker of the pool) bit for bit.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
+  ThreadPool pool(2);
   UlvOptions ref;
   ref.tol = 1e-9;
-  ref.n_workers = 1;
-  ref.schedule = UlvSchedule::Fifo;
-  ref.priority = UlvPriority::None;
-  const RunResult r1 = run(p, h, ref);
+  ref.pool = &pool;
+  RunResult r1;
+  on_worker(pool, [&] { r1 = run(p, h, ref); });
   EXPECT_LT(r1.residual, 1e-5);
-  for (const UlvSchedule sched : {UlvSchedule::Fifo, UlvSchedule::WorkSteal}) {
-    for (const UlvPriority prio :
-         {UlvPriority::None, UlvPriority::CriticalPath}) {
-      for (const int workers : {1, 4, 8}) {
-        if (sched == ref.schedule && prio == ref.priority && workers == 1)
-          continue;  // the baseline itself
-        UlvOptions u = ref;
-        u.schedule = sched;
-        u.priority = prio;
-        u.n_workers = workers;
-        const RunResult rk = run(p, h, u);
-        const std::string cell =
-            std::string(sched == UlvSchedule::Fifo ? "fifo" : "worksteal") +
-            " x " + (prio == UlvPriority::None ? "none" : "critical-path") +
-            " x " + std::to_string(workers) + " workers";
-        EXPECT_EQ(rel_error_fro(rk.x, r1.x), 0.0) << cell;
-        EXPECT_EQ(rk.logabsdet, r1.logabsdet) << cell;
-      }
-    }
+  for (const int workers : {1, 4, 8}) {
+    UlvOptions u = ref;
+    u.pool = nullptr;
+    u.n_workers = workers;
+    const RunResult rk = run(p, h, u);
+    EXPECT_EQ(rel_error_fro(rk.x, r1.x), 0.0) << workers << " workers";
+    EXPECT_EQ(rk.logabsdet, r1.logabsdet) << workers << " workers";
   }
 }
 
 TEST(UlvDag, DefaultPolicyIsWorkStealWithCriticalPath) {
-  const UlvOptions defaults;
-  EXPECT_EQ(defaults.schedule, UlvSchedule::WorkSteal);
-  EXPECT_EQ(defaults.priority, UlvPriority::CriticalPath);
-
-  // The recorded execution reports the policy it ran under, one counter lane
-  // per worker, and every task accounted for exactly once.
+  // The recorded execution reports its critical-path ranking, one counter
+  // lane per worker of the work-stealing pool, and every task accounted for
+  // exactly once.
   const Problem p = make_problem(512, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions u;
@@ -179,7 +166,6 @@ TEST(UlvDag, DefaultPolicyIsWorkStealWithCriticalPath) {
   u.n_workers = 4;
   const UlvFactorization f(h, u);
   const ExecStats& ex = f.stats().exec;
-  EXPECT_STREQ(ex.schedule_policy, "worksteal");
   EXPECT_STREQ(ex.priority_policy, "critical-path");
   ASSERT_EQ(ex.worker_counters.size(), 4u);
   std::uint64_t executed = 0;
@@ -214,60 +200,62 @@ TEST(UlvDag, AgreesWithSequentialBaseline) {
   EXPECT_LE(rel_error_fro(rd.x, rs.x), 1e-4);
 }
 
-TEST(UlvDag, MatchesPhaseLoopsAblationBitwise) {
-  // TaskDag and the bulk-synchronous PhaseLoops ablation share the same
-  // phase bodies; the executors must be indistinguishable in the output.
+TEST(UlvDag, InlineAndPoolFactorsSolveAlikeBitwise) {
+  // A factor built by the serial replay and one built on the pool, each
+  // solved both ways — inline on a pool worker and through the pool — give
+  // one answer: the two executions of each graph are interchangeable.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
-  UlvOptions dag;
-  dag.tol = 1e-9;
-  dag.n_workers = 2;
-  UlvOptions loops = dag;
-  loops.executor = UlvExecutor::PhaseLoops;
-  const RunResult rd = run(p, h, dag);
-  const RunResult rl = run(p, h, loops);
-  EXPECT_EQ(rd.logabsdet, rl.logabsdet);
-  EXPECT_LE(rel_error_fro(rd.x, rl.x), 1e-14);
+  ThreadPool pool(2);
+  UlvOptions u;
+  u.tol = 1e-9;
+  u.pool = &pool;
+  std::unique_ptr<const UlvFactorization> inline_built;
+  on_worker(pool,
+            [&] { inline_built = std::make_unique<UlvFactorization>(h, u); });
+  const UlvFactorization pool_built(h, u);
+  EXPECT_EQ(inline_built->logabsdet(), pool_built.logabsdet());
+  Rng rng(7);
+  const Matrix b = Matrix::random(p.tree->n_points(), 2, rng);
+  Matrix x_ref = b;
+  pool_built.solve(x_ref);
+  for (const UlvFactorization* f : {inline_built.get(), &pool_built}) {
+    Matrix x_pool = b, x_inline = b;
+    f->solve(x_pool);
+    on_worker(pool, [&] { f->solve(x_inline); });
+    EXPECT_EQ(rel_error_fro(x_pool, x_ref), 0.0);
+    EXPECT_EQ(rel_error_fro(x_inline, x_ref), 0.0);
+  }
 }
 
-TEST(UlvDag, DroppedMassDiagnosticsMatchPhaseLoops) {
+TEST(UlvDag, DroppedMassDiagnosticsMatchSerialReplay) {
   // measure_dropped reads the solved strips full-width, so its DAG tasks
   // need col_solve edges to every dense neighbor; with those in place the
-  // accumulated mass matches the bulk-synchronous ablation up to the
+  // accumulated mass on 4 workers matches the serial replay up to the
   // mutex-ordered floating-point summation.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
-  UlvOptions dag;
-  dag.tol = 1e-8;
-  dag.measure_dropped = true;
+  ThreadPool pool(2);
+  UlvOptions serial;
+  serial.tol = 1e-8;
+  serial.measure_dropped = true;
+  serial.pool = &pool;
+  UlvOptions dag = serial;
+  dag.pool = nullptr;
   dag.n_workers = 4;
-  UlvOptions loops = dag;
-  loops.executor = UlvExecutor::PhaseLoops;
+  double serial_mass = 0.0;
+  on_worker(pool, [&] {
+    serial_mass = UlvFactorization(h, serial).stats().dropped_mass;
+  });
   const UlvFactorization fd(h, dag);
-  const UlvFactorization fl(h, loops);
-  EXPECT_GT(fl.stats().dropped_mass, 0.0);
-  EXPECT_NEAR(fd.stats().dropped_mass, fl.stats().dropped_mass,
-              1e-10 * fl.stats().dropped_mass);
-}
-
-TEST(UlvDag, DeprecatedUseThreadsStillWorks) {
-  // The pre-Executor API: use_threads selects pool-parallel phase loops.
-  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
-  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
-  UlvOptions u;
-  u.tol = 1e-8;
-  u.use_threads = true;
-  ThreadPool pool(3);
-  u.pool = &pool;
-  const RunResult r = run(p, h, u);
-  EXPECT_LT(r.residual, 1e-4);
-  EXPECT_TRUE(r.stats.dag.empty());  // bulk-synchronous: no DAG recorded
+  EXPECT_GT(serial_mass, 0.0);
+  EXPECT_NEAR(fd.stats().dropped_mass, serial_mass, 1e-10 * serial_mass);
 }
 
 TEST(UlvDag, FactorizingFromAPoolWorkerDoesNotDeadlock) {
   // A factorization submitted onto the very pool the DAG would execute on
-  // must fall back to a private pool — a worker blocking on work queued
-  // behind itself would hang forever.
+  // replays the DAG inline on that worker — a worker blocking on work
+  // queued behind itself would hang forever.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   ThreadPool pool(1);
@@ -358,7 +346,7 @@ TEST(UlvDag, ReleaseTasksBoundPeakFactorizationMemory) {
   // ablation's peak and (b) under the summed task payloads of the two
   // heaviest adjacent levels — the "O(two active levels), not O(whole
   // tree)" bound the release design exists for. Results must be bitwise
-  // identical across release x executor x worker count throughout.
+  // identical across release x worker count x inline replay throughout.
   const Problem p =
       make_problem(kMemN, 128, Geometry::Sphere, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-6));
@@ -372,38 +360,42 @@ TEST(UlvDag, ReleaseTasksBoundPeakFactorizationMemory) {
   EXPECT_EQ(base.stats.peak_block_bytes, base.stats.final_block_bytes);
   ASSERT_GT(base.stats.peak_block_bytes, 0u);
 
-  DagRecord recorded;  // from the 1-worker TaskDag release run below
+  DagRecord recorded;  // from the 1-worker release run below
   std::uint64_t recorded_peak = 0;
   std::uint64_t released_final = 0;
-  for (const UlvExecutor ex : {UlvExecutor::TaskDag, UlvExecutor::PhaseLoops}) {
-    for (const int workers : {1, 4}) {
-      UlvOptions u = retain;
-      u.release_blocks = true;
-      u.executor = ex;
-      u.n_workers = workers;
-      u.record_tasks = (ex == UlvExecutor::TaskDag && workers == 1);
-      const MemRun r = mem_run(h, kMemN, u);
-      const std::string cell =
-          std::string(ex == UlvExecutor::TaskDag ? "TaskDag" : "PhaseLoops") +
-          " x " + std::to_string(workers) + " workers";
-      // Releases only ever free dead blocks: bitwise identical results.
-      EXPECT_EQ(rel_error_fro(r.x, base.x), 0.0) << cell;
-      EXPECT_EQ(r.logabsdet, base.logabsdet) << cell;
-      // The 50% acceptance gate (measured ~0.37-0.41 across sizes).
-      EXPECT_LE(r.stats.peak_block_bytes, base.stats.peak_block_bytes / 2)
-          << cell;
-      // What survives is exactly the persistent factor, identical across
-      // executors and worker counts (same bitwise blocks), and the peak
-      // hugs it — releases fire as soon as the last consumer retires.
-      EXPECT_GE(r.stats.peak_block_bytes, r.stats.final_block_bytes) << cell;
-      if (released_final == 0)
-        released_final = r.stats.final_block_bytes;
-      else
-        EXPECT_EQ(r.stats.final_block_bytes, released_final) << cell;
-      if (u.record_tasks) {
-        recorded = r.stats.dag;
-        recorded_peak = r.stats.peak_block_bytes;
-      }
+  ThreadPool pool(2);
+  // 0 workers: the serial replay, factorized and solved on a worker of pool.
+  for (const int workers : {1, 4, 0}) {
+    UlvOptions u = retain;
+    u.release_blocks = true;
+    u.n_workers = workers;
+    u.record_tasks = (workers == 1);
+    MemRun r;
+    if (workers > 0) {
+      r = mem_run(h, kMemN, u);
+    } else {
+      u.pool = &pool;
+      on_worker(pool, [&] { r = mem_run(h, kMemN, u); });
+    }
+    const std::string cell =
+        workers > 0 ? std::to_string(workers) + " workers" : "serial replay";
+    // Releases only ever free dead blocks: bitwise identical results.
+    EXPECT_EQ(rel_error_fro(r.x, base.x), 0.0) << cell;
+    EXPECT_EQ(r.logabsdet, base.logabsdet) << cell;
+    // The 50% acceptance gate (measured ~0.37-0.41 across sizes).
+    EXPECT_LE(r.stats.peak_block_bytes, base.stats.peak_block_bytes / 2)
+        << cell;
+    // What survives is exactly the persistent factor, identical across
+    // worker counts and inline replay (same bitwise blocks), and the peak
+    // hugs it — releases fire as soon as the last consumer retires.
+    EXPECT_GE(r.stats.peak_block_bytes, r.stats.final_block_bytes) << cell;
+    if (released_final == 0)
+      released_final = r.stats.final_block_bytes;
+    else
+      EXPECT_EQ(r.stats.final_block_bytes, released_final) << cell;
+    if (u.record_tasks) {
+      recorded = r.stats.dag;
+      recorded_peak = r.stats.peak_block_bytes;
     }
   }
   // The retained ablation holds the factor PLUS the whole workspace.

@@ -18,6 +18,7 @@ namespace {
 using testing_support::Geometry;
 using testing_support::KernelKind;
 using testing_support::make_problem;
+using testing_support::on_worker;
 using testing_support::Problem;
 
 H2BuildOptions strong_opts(double tol) {
@@ -32,25 +33,22 @@ Matrix random_rhs(int n, int nrhs) {
   return Matrix::random(n, nrhs, rng);
 }
 
-TEST(UlvSolveDag, MultiRhsBitwiseAcrossSolveExecutorMatrix) {
-  // The redesigned solve: every cell of {PhaseLoops, TaskDag-solve} x
-  // {Fifo, WorkSteal} x {1, 4, 8} workers must reproduce the bulk-
-  // synchronous single-worker sweep BIT FOR BIT, for one and many
-  // right-hand sides — scheduling changes when a task runs, never what it
-  // computes.
+TEST(UlvSolveDag, MultiRhsBitwiseAcrossWorkersAndSerialReplay) {
+  // Factorizing and solving on pools of 1, 4 and 8 workers must reproduce
+  // the serial replay (factorization and solve walked inline on a worker of
+  // the pool) BIT FOR BIT, for one and many right-hand sides — scheduling
+  // changes when a task runs, never what it computes.
   const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
   const int n = p.tree->n_points();
+  ThreadPool pool(2);
   for (const int nrhs : {1, 4, 33}) {
     const Matrix b = random_rhs(n, nrhs);
     UlvOptions ref;
     ref.tol = 1e-9;
-    ref.n_workers = 1;
-    ref.schedule = UlvSchedule::Fifo;
-    ref.solve_executor = UlvExecutor::PhaseLoops;
-    const UlvFactorization f_ref(h, ref);
+    ref.pool = &pool;
     Matrix x_ref = b;
-    f_ref.solve(x_ref);
+    on_worker(pool, [&] { UlvFactorization(h, ref).solve(x_ref); });
 
     // Sanity: the reference solves the system at all.
     const Matrix a = kernel_dense(*p.kernel, p.tree->points());
@@ -58,28 +56,77 @@ TEST(UlvSolveDag, MultiRhsBitwiseAcrossSolveExecutorMatrix) {
     gemm(1.0, a, Trans::No, x_ref, Trans::No, 0.0, ax);
     EXPECT_LT(rel_error_fro(ax, b), 1e-5) << "nrhs " << nrhs;
 
-    for (const UlvExecutor sexec :
-         {UlvExecutor::PhaseLoops, UlvExecutor::TaskDag}) {
-      for (const UlvSchedule sched :
-           {UlvSchedule::Fifo, UlvSchedule::WorkSteal}) {
-        for (const int workers : {1, 4, 8}) {
-          UlvOptions u = ref;
-          u.solve_executor = sexec;
-          u.schedule = sched;
-          u.n_workers = workers;
-          const UlvFactorization f(h, u);
-          Matrix x = b;
-          f.solve(x);
-          const std::string cell =
-              std::string(sexec == UlvExecutor::TaskDag ? "dag-solve"
-                                                        : "loop-solve") +
-              " x " + (sched == UlvSchedule::Fifo ? "fifo" : "worksteal") +
-              " x " + std::to_string(workers) + " workers, nrhs " +
-              std::to_string(nrhs);
-          EXPECT_EQ(rel_error_fro(x, x_ref), 0.0) << cell;
-        }
+    for (const int workers : {1, 4, 8}) {
+      UlvOptions u = ref;
+      u.pool = nullptr;
+      u.n_workers = workers;
+      const UlvFactorization f(h, u);
+      Matrix x = b;
+      f.solve(x);
+      EXPECT_EQ(rel_error_fro(x, x_ref), 0.0)
+          << workers << " workers, nrhs " << nrhs;
+    }
+  }
+}
+
+TEST(UlvSolveDag, SequentialModeSolvesBitwiseAcrossWorkersAndSerialReplay) {
+  // Sequential mode records and replays the same solve plan as Parallel
+  // mode, so its factor solves bitwise alike on any pool and inline.
+  const Problem p = make_problem(384, 32, Geometry::Cube, KernelKind::Laplace);
+  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-9));
+  const int n = p.tree->n_points();
+  const Matrix b = random_rhs(n, 3);
+  ThreadPool pool(2);
+  UlvOptions u;
+  u.tol = 1e-9;
+  u.mode = UlvMode::Sequential;
+  u.pool = &pool;
+  const UlvFactorization f(h, u);
+  ASSERT_FALSE(f.solve_dag().empty());
+  Matrix x_ref = b;
+  on_worker(pool, [&] { f.solve(x_ref); });
+  const Matrix a = kernel_dense(*p.kernel, p.tree->points());
+  Matrix ax(n, 3);
+  gemm(1.0, a, Trans::No, x_ref, Trans::No, 0.0, ax);
+  EXPECT_LT(rel_error_fro(ax, b), 1e-5);
+  Matrix x_pool = b;
+  f.solve(x_pool);
+  EXPECT_EQ(rel_error_fro(x_pool, x_ref), 0.0) << "pool of 2";
+  for (const int workers : {1, 4}) {
+    UlvOptions uk = u;
+    uk.pool = nullptr;
+    uk.n_workers = workers;
+    const UlvFactorization fk(h, uk);
+    Matrix x = b;
+    fk.solve(x);
+    EXPECT_EQ(rel_error_fro(x, x_ref), 0.0) << workers << " workers";
+  }
+}
+
+TEST(UlvSolveDag, RejectsWrongHeightRhsInEveryPrecision) {
+  // The core checks the rhs height itself: a short b would otherwise be
+  // read and written past its end by the sweep bodies in Release builds.
+  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
+  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
+  const int n = p.tree->n_points();
+  for (const Precision prec : {Precision::F64, Precision::F32}) {
+    UlvOptions u;
+    u.tol = 1e-8;
+    u.precision = prec;
+    const UlvFactorization f(h, u);
+    for (const int rows : {n - 1, n + 5, 0}) {
+      Matrix b(rows, 2);
+      try {
+        f.solve(b);
+        ADD_FAILURE() << "rhs of " << rows << " rows accepted";
+      } catch (const std::invalid_argument& e) {
+        const std::string msg = e.what();
+        EXPECT_NE(msg.find(std::to_string(rows)), std::string::npos) << msg;
+        EXPECT_NE(msg.find(std::to_string(n)), std::string::npos) << msg;
       }
     }
+    Matrix ok = random_rhs(n, 1);
+    EXPECT_NO_THROW(f.solve(ok));
   }
 }
 
@@ -161,41 +208,6 @@ TEST(UlvSolveDag, RecordedPlanMirrorsForwardSweepReversed) {
         << "forward task " << t << " vs its backward twin";
 }
 
-TEST(UlvSolveDag, PhaseLoopsSolveRecordsNoPlan) {
-  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
-  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
-  UlvOptions u;
-  u.tol = 1e-8;
-  u.solve_executor = UlvExecutor::PhaseLoops;
-  const UlvFactorization f(h, u);
-  EXPECT_TRUE(f.solve_dag().empty());
-}
-
-TEST(UlvSolveDag, PriorityNoneLeavesThePlanUnranked) {
-  // The None-vs-CriticalPath scheduling ablation covers the solve: under
-  // None the recorded plan carries NO priorities (DagRecord's contract),
-  // so the executor really runs submission order, not a hidden ranking.
-  const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
-  const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
-  UlvOptions u;
-  u.tol = 1e-8;
-  u.priority = UlvPriority::None;
-  const UlvFactorization f(h, u);
-  ASSERT_FALSE(f.solve_dag().empty());
-  EXPECT_TRUE(f.solve_dag().priority.empty());
-  // And it still solves, bitwise equal to the ranked default.
-  const int n = p.tree->n_points();
-  const Matrix b = random_rhs(n, 2);
-  Matrix x_none = b;
-  f.solve(x_none);
-  UlvOptions ranked = u;
-  ranked.priority = UlvPriority::CriticalPath;
-  const UlvFactorization fr(h, ranked);
-  Matrix x_ranked = b;
-  fr.solve(x_ranked);
-  EXPECT_EQ(rel_error_fro(x_none, x_ranked), 0.0);
-}
-
 TEST(UlvSolveDag, DagSolveSurfacesExecStatsWithBusyWorkers) {
   // solve_via_dag used to DISCARD its ExecStats; now the most recent DAG
   // solve's trace is readable through last_solve_stats(), and on a
@@ -233,14 +245,17 @@ TEST(UlvSolveDag, DagSolveSurfacesExecStatsWithBusyWorkers) {
   // always; the attempt loop only shields against a pathological schedule.
   EXPECT_TRUE(every_worker_executed);
 
-  // The ablation sweep reports nothing — the surface is exact about which
-  // executor produced what.
-  UlvOptions loops = u;
-  loops.solve_executor = UlvExecutor::PhaseLoops;
-  const UlvFactorization fl(h, loops);
+  // An inline replay reports nothing — the surface only ever shows a
+  // pool execution's trace.
+  ThreadPool pool(2);
+  UlvOptions own = u;
+  own.n_workers = 0;
+  own.pool = &pool;
+  const UlvFactorization fi(h, own);
   Matrix x = b;
-  fl.solve(x);
-  EXPECT_TRUE(fl.last_solve_stats().records.empty());
+  on_worker(pool, [&] { fi.solve(x); });
+  EXPECT_TRUE(fi.last_solve_stats().records.empty());
+  EXPECT_EQ(fi.solve_stats_generation(), 0u);
 }
 
 TEST(UlvSolveDag, SolveTraceCsvHookWritesEveryTask) {
@@ -279,9 +294,9 @@ TEST(UlvSolveDag, SolveTraceCsvHookWritesEveryTask) {
 }
 
 TEST(UlvSolveDag, SolveFromAPoolWorkerDoesNotDeadlock) {
-  // A solve submitted onto the very pool the DAG would execute on falls
-  // back to the (bitwise-identical) inline sweep — whole solves pipeline
-  // across workers instead of blocking on work queued behind themselves.
+  // A solve submitted onto the very pool the DAG would execute on replays
+  // the DAG inline (bitwise identical) — whole solves pipeline across
+  // workers instead of blocking on work queued behind themselves.
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   ThreadPool pool(2);
@@ -332,7 +347,7 @@ TEST(UlvSolveDag, ConcurrentSolvesShareOneFactorization) {
     EXPECT_EQ(rel_error_fro(parallel[i], serial[i]), 0.0) << "rhs " << i;
 }
 
-TEST(UlvSolveDag, ValidateRejectsNonsenseAndMapsUseThreads) {
+TEST(UlvSolveDag, ValidateRejectsNonsense) {
   const Problem p = make_problem(256, 32, Geometry::Cube, KernelKind::Laplace);
   const H2Matrix h(*p.tree, *p.kernel, strong_opts(1e-8));
   UlvOptions bad;
@@ -347,22 +362,6 @@ TEST(UlvSolveDag, ValidateRejectsNonsenseAndMapsUseThreads) {
   bad = UlvOptions{};
   bad.n_workers = -2;
   EXPECT_THROW(UlvFactorization(h, bad), std::invalid_argument);
-
-  // The deprecated alias now maps EXPLICITLY onto the PhaseLoops executors:
-  // no DAG is recorded for the factorization or the solve.
-  UlvOptions legacy;
-  legacy.tol = 1e-8;
-  legacy.use_threads = true;
-  legacy.record_tasks = true;
-  const UlvFactorization f(h, legacy);
-  EXPECT_TRUE(f.stats().dag.empty());
-  EXPECT_TRUE(f.solve_dag().empty());
-
-  UlvOptions norm;
-  norm.use_threads = true;
-  norm.validate();
-  EXPECT_EQ(norm.executor, UlvExecutor::PhaseLoops);
-  EXPECT_EQ(norm.solve_executor, UlvExecutor::PhaseLoops);
 }
 
 }  // namespace
